@@ -45,13 +45,7 @@ from .errors import (
     ValidationFailedError,
     ZeroDenominatorError,
 )
-from .indicators import (
-    IndicatorDef,
-    IndicatorKind,
-    RangeVerdict,
-    compute_indicator,
-    validate_range,
-)
+from .indicators import IndicatorDef, IndicatorKind, compute_indicator
 from .poly import Point, Polynomial, evaluate, evaluate_many, interpolate, lagrange_basis
 from .rationals import Rational, format_rational, parse_rational, parse_user_rational
 from .storage import (

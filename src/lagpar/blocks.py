@@ -1,12 +1,18 @@
-"""Parity-block encoding, recovery, verification, and corruption location.
+"""Parity-block encoding and the one decode behind recover, verify and locate.
 
 k data values sit at x = 0..k-1 on the unique polynomial of degree <= k-1
 through them; parity blocks are further samples of that polynomial at
 x = k, k+1, ...  Any k distinct blocks reconstruct the polynomial and hence
-the originals, bit-exactly.  Corruption location is an exhaustive
-maximum-agreement search over k-subsets, intended for desk-scale sets
-(at most 16 blocks): the answer is guaranteed unique when the number of
-corrupted blocks e satisfies n >= k + 2e.
+the originals, bit-exactly.
+
+Decoding is one function, _decode: fit the k lowest-index blocks, find the
+blocks off that fit, and only if asked and some block is off, search for
+the polynomial agreeing with the most blocks.  recover, verify and
+locate_corruption are three views of it: recover insists nothing is off,
+verify reports what is off, and locate_corruption searches and names the
+outliers as suspects.  The search is exhaustive over k-subsets, intended
+for desk-scale sets (at most 16 blocks): its answer is guaranteed unique
+when the number of corrupted blocks e satisfies n >= k + 2e.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Sequence
 
 from .errors import (
@@ -27,7 +33,7 @@ from .errors import (
     InsufficientRedundancyError,
     MixedDatasetError,
 )
-from .poly import Point, evaluate, evaluate_many, interpolate
+from .poly import Point, Polynomial, evaluate, evaluate_many, interpolate
 
 DEFAULT_MAX_PARITY = 1024
 DEFAULT_MAX_LOCATE_BLOCKS = 16
@@ -133,16 +139,76 @@ def encode(
     return [make_block(k + j, v, k, dataset_id) for j, v in enumerate(parity_values)]
 
 
-def _interpolate_blocks(blocks: Sequence[CodedBlock]):
-    return interpolate([Point(Fraction(b.index), b.value) for b in blocks])
+def _check_search_size(n: int, k: int, max_blocks: int) -> None:
+    """The exhaustive search needs more than k and at most max_blocks blocks."""
+    if n <= k:
+        raise InsufficientRedundancyError(
+            f"corruption location needs more than k={k} blocks, have {n}"
+        )
+    if n > max_blocks:
+        raise InputError(f"{n} blocks exceeds the exhaustive-search limit {max_blocks}")
 
 
-def _fit_report(blocks: Sequence[CodedBlock], p) -> tuple[int, ...]:
-    """Indices of blocks whose value is off the polynomial p."""
-    return tuple(
-        b.index for b in sorted(blocks, key=lambda b: b.index)
-        if evaluate(p, Fraction(b.index)) != b.value
-    )
+def _decode(
+    recovery_set: RecoverySet,
+    *,
+    search: bool = False,
+    max_blocks: int = DEFAULT_MAX_LOCATE_BLOCKS,
+) -> tuple[Polynomial, tuple[int, ...]]:
+    """Fit the k lowest-index blocks; with search, find the best-agreeing polynomial.
+
+    Returns (polynomial, indices of the blocks off it).  The search runs only
+    when some block is off the first fit.  It interpolates k-subsets
+    exhaustively, skipping any subset inside an already-found candidate's
+    agreement set, which by uniqueness of interpolation would reproduce that
+    candidate.  Raises AmbiguityError when two distinct polynomials tie for
+    maximal agreement, which needs n < k + 2e.
+    """
+    k = recovery_set.k
+    blocks = sorted(recovery_set.blocks, key=lambda b: b.index)
+    n = len(blocks)
+    if n < k:
+        raise InsufficientBlocksError(f"need {k} blocks, have {n}")
+
+    def fit(positions):
+        return interpolate([Point(Fraction(blocks[i].index), blocks[i].value) for i in positions])
+
+    def agreement(p) -> frozenset[int]:
+        """Positions of the blocks whose value lies on p."""
+        return frozenset(
+            i for i, b in enumerate(blocks) if evaluate(p, Fraction(b.index)) == b.value
+        )
+
+    p = fit(range(k))
+    agree = agreement(p)
+    if search and len(agree) < n:
+        _check_search_size(n, k, max_blocks)
+        candidates = {p: agree}  # polynomial -> agreement set
+        # only agreement sets larger than k can strictly contain another k-subset
+        prunable = [agree] if len(agree) > k else []
+        # the first k-subset is the fit already made above
+        for subset in islice(combinations(range(n), k), 1, None):
+            if any(seen.issuperset(subset) for seen in prunable):
+                continue
+            q = fit(subset)
+            if q in candidates:
+                continue
+            candidates[q] = seen = agreement(q)
+            if len(seen) > k:
+                prunable.append(seen)
+        best = max(len(seen) for seen in candidates.values())
+        winners = [q for q, seen in candidates.items() if len(seen) == best]
+        if len(winners) > 1:
+            raise AmbiguityError(
+                f"{len(winners)} distinct polynomials each agree with {best} of {n} blocks"
+            )
+        p, agree = winners[0], candidates[winners[0]]
+    return p, tuple(b.index for i, b in enumerate(blocks) if i not in agree)
+
+
+def _originals(p: Polynomial, k: int) -> list[Fraction]:
+    """The k original values: the polynomial p evaluated at 0..k-1."""
+    return evaluate_many(p, [Fraction(i) for i in range(k)])
 
 
 def recover(recovery_set: RecoverySet) -> list[Fraction]:
@@ -152,27 +218,17 @@ def recover(recovery_set: RecoverySet) -> list[Fraction]:
     provided block lies on that polynomial; extra blocks that disagree raise
     InconsistentBlocksError (callers should fall back to locate_corruption).
     """
-    k = recovery_set.k
-    blocks = sorted(recovery_set.blocks, key=lambda b: b.index)
-    if len(blocks) < k:
-        raise InsufficientBlocksError(f"need {k} blocks, have {len(blocks)}")
-    p = _interpolate_blocks(blocks[:k])
-    residuals = _fit_report(blocks, p)
+    p, residuals = _decode(recovery_set)
     if residuals:
         raise InconsistentBlocksError(
             f"blocks at indices {list(residuals)} are off the interpolant", residuals
         )
-    return evaluate_many(p, [Fraction(i) for i in range(k)])
+    return _originals(p, recovery_set.k)
 
 
 def verify(recovery_set: RecoverySet) -> VerifyReport:
     """Report which blocks disagree with the k lowest-index blocks' interpolant."""
-    k = recovery_set.k
-    blocks = sorted(recovery_set.blocks, key=lambda b: b.index)
-    if len(blocks) < k:
-        raise InsufficientBlocksError(f"need {k} blocks, have {len(blocks)}")
-    p = _interpolate_blocks(blocks[:k])
-    residuals = _fit_report(blocks, p)
+    _, residuals = _decode(recovery_set)
     return VerifyReport(consistent=not residuals, residual_indices=residuals)
 
 
@@ -183,46 +239,10 @@ def locate_corruption(
 ) -> CorrectionResult:
     """Find the polynomial consistent with the most blocks; outliers are suspects.
 
-    Exhaustively interpolates k-subsets of the n provided blocks, keeping the
-    candidate with maximal agreement.  Subsets lying entirely inside an
-    already-found candidate's agreement set are skipped: by uniqueness of
-    interpolation they would reproduce that same candidate.  Raises
-    AmbiguityError when two distinct polynomials tie for maximal agreement,
-    which can only happen when n < k + 2e.
+    Needs more than k and at most max_blocks blocks, even when they agree.
+    Raises AmbiguityError when two distinct polynomials tie for maximal
+    agreement, which can only happen when n < k + 2e.
     """
-    k = recovery_set.k
-    blocks = sorted(recovery_set.blocks, key=lambda b: b.index)
-    n = len(blocks)
-    if n <= k:
-        raise InsufficientRedundancyError(
-            f"corruption location needs more than k={k} blocks, have {n}"
-        )
-    if n > max_blocks:
-        raise InputError(f"{n} blocks exceeds the exhaustive-search limit {max_blocks}")
-
-    candidates: dict = {}  # polynomial -> frozenset of agreeing block positions
-    # only agreement sets larger than k can strictly contain another k-subset
-    prunable: list[frozenset] = []
-    for subset in combinations(range(n), k):
-        if any(agree.issuperset(subset) for agree in prunable):
-            continue
-        p = _interpolate_blocks([blocks[i] for i in subset])
-        if p in candidates:
-            continue
-        agree = frozenset(
-            i for i, b in enumerate(blocks) if evaluate(p, Fraction(b.index)) == b.value
-        )
-        candidates[p] = agree
-        if len(agree) > k:
-            prunable.append(agree)
-
-    best = max(len(agree) for agree in candidates.values())
-    winners = [p for p, agree in candidates.items() if len(agree) == best]
-    if len(winners) > 1:
-        raise AmbiguityError(
-            f"{len(winners)} distinct polynomials each agree with {best} of {n} blocks"
-        )
-    winner = winners[0]
-    suspects = _fit_report(blocks, winner)
-    recovered = tuple(evaluate_many(winner, [Fraction(i) for i in range(k)]))
-    return CorrectionResult(recovered=recovered, suspects=suspects)
+    _check_search_size(len(recovery_set.blocks), recovery_set.k, max_blocks)
+    p, suspects = _decode(recovery_set, search=True, max_blocks=max_blocks)
+    return CorrectionResult(recovered=tuple(_originals(p, recovery_set.k)), suspects=suspects)

@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 import tempfile
+from collections.abc import Iterable
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from .rationals import format_rational, parse_user_rational
 from .storage import (
     DeleteBlock,
     FlipByte,
+    RecoveryResult,
     Store,
     Unreachable,
     block_line,
@@ -173,8 +175,29 @@ def cmd_inject(args: argparse.Namespace) -> int:
     return 0
 
 
-def _demo_stores(tmp: str) -> tuple[Store, Store]:
-    return Store(Path(tmp) / "primary"), Store(Path(tmp) / "secondary")
+def _demo_recover(
+    dataset_id: str, values: list[Fraction], m: int, lost: Iterable[int]
+) -> RecoveryResult:
+    """Store values in throwaway stores, delete the lost originals, recover.
+
+    Prints the stored, block, injected and result lines along the way.
+    """
+    k = len(values)
+    with tempfile.TemporaryDirectory() as tmp:
+        primary, secondary = Store(Path(tmp) / "primary"), Store(Path(tmp) / "secondary")
+        store_dataset(values, m, dataset_id, primary, secondary)
+        print(f"stored dataset={dataset_id} k={k} m={m}")
+        for block in encode(values, m, dataset_id):
+            print(block_line(block))
+        for index in lost:
+            inject_fault(primary, DeleteBlock(dataset_id, index))
+            print(f"injected store=primary fault=delete dataset={dataset_id} index={index}")
+        result = recover_dataset(dataset_id, primary, secondary)
+    print(
+        f"result recovered={_join_rationals(result.values)} "
+        f"provenance={result.provenance.value}"
+    )
+    return result
 
 
 def cmd_demo_carbon(args: argparse.Namespace) -> int:
@@ -182,65 +205,35 @@ def cmd_demo_carbon(args: argparse.Namespace) -> int:
     emissions = [Fraction(300), Fraction(400), Fraction(300)]
     total_value = Fraction(3000)
     values = [*emissions, total_value]
-    k, m = len(values), len(values)
-    with tempfile.TemporaryDirectory() as tmp:
-        primary, secondary = _demo_stores(tmp)
-        print("demo name=carbon")
-        print(
-            f"data emissions={_join_rationals(emissions)} "
-            f"total_value={format_rational(total_value)}"
-        )
-        store_dataset(values, m, "carbon-demo", primary, secondary)
-        print(f"stored dataset=carbon-demo k={k} m={m}")
-        for block in encode(values, m, "carbon-demo"):
-            print(block_line(block))
-        for index in range(k):
-            inject_fault(primary, DeleteBlock("carbon-demo", index))
-            print(f"injected store=primary fault=delete dataset=carbon-demo index={index}")
-        result = recover_dataset("carbon-demo", primary, secondary)
-        print(
-            f"result recovered={_join_rationals(result.values)} "
-            f"provenance={result.provenance.value}"
-        )
-        footprint_def = IndicatorDef(
-            id="carbon_footprint",
-            kind=IndicatorKind.RATIO_OF_SUMS,
-            numerator_inputs=("company_a", "company_b", "company_c"),
-            denominator_inputs=("total_value",),
-        )
-        names = ("company_a", "company_b", "company_c", "total_value")
-        footprint = compute_indicator(footprint_def, dict(zip(names, result.values)))
-        print(f"result footprint={format_rational(footprint)}")
+    print("demo name=carbon")
+    print(
+        f"data emissions={_join_rationals(emissions)} "
+        f"total_value={format_rational(total_value)}"
+    )
+    result = _demo_recover("carbon-demo", values, len(values), range(len(values)))
+    footprint_def = IndicatorDef(
+        id="carbon_footprint",
+        kind=IndicatorKind.RATIO_OF_SUMS,
+        numerator_inputs=("company_a", "company_b", "company_c"),
+        denominator_inputs=("total_value",),
+    )
+    names = ("company_a", "company_b", "company_c", "total_value")
+    footprint = compute_indicator(footprint_def, dict(zip(names, result.values)))
+    print(f"result footprint={format_rational(footprint)}")
     return 0
 
 
 def cmd_demo_forecast(args: argparse.Namespace) -> int:
     """Store fixture forecasting coefficients, degrade the primary, recover them."""
     coefficients = [Fraction(1), Fraction(2), Fraction(3), Fraction(4)]
-    k, m = len(coefficients), 2
-    with tempfile.TemporaryDirectory() as tmp:
-        primary, secondary = _demo_stores(tmp)
-        print("demo name=forecast")
-        print("note source=fixture formula=a*exp(b*t)+c*sin(d*t)")
-        print(f"data coefficients={_join_rationals(coefficients)} source=fixture")
-        store_dataset(coefficients, m, "forecast-demo", primary, secondary)
-        print(f"stored dataset=forecast-demo k={k} m={m}")
-        for block in encode(coefficients, m, "forecast-demo"):
-            print(block_line(block))
-        if args.scenario == "primary-degraded":
-            lost = (1, 3)
-        elif args.scenario == "beyond-threshold":
-            lost = tuple(range(k))
-        else:
-            lost = ()
-        for index in lost:
-            inject_fault(primary, DeleteBlock("forecast-demo", index))
-            print(f"injected store=primary fault=delete dataset=forecast-demo index={index}")
-        result = recover_dataset("forecast-demo", primary, secondary)
-        print(
-            f"result recovered={_join_rationals(result.values)} "
-            f"provenance={result.provenance.value}"
-        )
+    print("demo name=forecast")
+    print("note source=fixture formula=a*exp(b*t)+c*sin(d*t)")
+    print(f"data coefficients={_join_rationals(coefficients)} source=fixture")
+    lost = {
+        "primary-degraded": (1, 3),
+        "beyond-threshold": range(len(coefficients)),
+    }.get(args.scenario, ())
+    _demo_recover("forecast-demo", coefficients, 2, lost)
     return 0
 
 
@@ -307,10 +300,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_values(argv: list[str]) -> list[str]:
+    """Join ``--values`` (or an abbreviation) to a list that starts with '-'.
+
+    argparse reads a separate token that starts with '-' as an option unless
+    it is a plain negative number, so ``--values -1/2,3`` would be refused
+    with "expected one argument"; ``--values=-1/2,3`` is parsed as meant.
+    """
+    glued: list[str] = []
+    for token in argv:
+        flag = glued[-1] if glued else ""
+        negative = token[:1] == "-" and token[1:2].isdigit()
+        if negative and len(flag) > 2 and "--values".startswith(flag):
+            glued[-1] = f"{flag}={token}"
+        else:
+            glued.append(token)
+    return glued
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -1,4 +1,4 @@
-"""Indicators: named aggregations over data points, with range validation.
+"""Indicators: named aggregations over data points.
 
 An indicator is either a plain sum of its inputs or a ratio of two sums
 (for example, total emissions over total investment value).  All arithmetic
@@ -26,25 +26,12 @@ class IndicatorDef:
     kind: IndicatorKind
     numerator_inputs: tuple[str, ...]
     denominator_inputs: tuple[str, ...] = ()
-    valid_range: tuple[Fraction, Fraction] | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "numerator_inputs", tuple(self.numerator_inputs))
         object.__setattr__(self, "denominator_inputs", tuple(self.denominator_inputs))
         if self.kind is IndicatorKind.SUM and self.denominator_inputs:
             raise InputError(f"sum indicator {self.id!r} must not name denominator inputs")
-        if self.valid_range is not None:
-            lo, hi = self.valid_range
-            if lo > hi:
-                raise InputError(f"invalid range for {self.id!r}: {lo} > {hi}")
-
-
-@dataclass(frozen=True)
-class RangeVerdict:
-    ok: bool
-    value: Fraction
-    lo: Fraction | None = None
-    hi: Fraction | None = None
 
 
 def _gather(refs: tuple[str, ...], values: Mapping[str, Fraction]) -> Fraction:
@@ -63,11 +50,3 @@ def compute_indicator(defn: IndicatorDef, values: Mapping[str, Fraction]) -> Fra
     if denominator == 0:
         raise ZeroDenominatorError(f"denominator of {defn.id!r} sums to zero")
     return numerator / denominator
-
-
-def validate_range(value: Fraction, defn: IndicatorDef) -> RangeVerdict:
-    """Check value against the indicator's closed validity interval, if any."""
-    if defn.valid_range is None:
-        return RangeVerdict(ok=True, value=value)
-    lo, hi = defn.valid_range
-    return RangeVerdict(ok=lo <= value <= hi, value=value, lo=lo, hi=hi)

@@ -49,17 +49,16 @@ from .blocks import (
     BlockRole,
     CodedBlock,
     RecoverySet,
+    _decode,
+    _originals,
     encode,
-    locate_corruption,
     make_block,
     original_blocks,
-    recover,
 )
 from .errors import (
     BadDatasetIdError,
     BadRationalError,
     DuplicateDatasetError,
-    InconsistentBlocksError,
     InputError,
     ManifestMissingError,
     StoreLockedError,
@@ -484,11 +483,9 @@ def health_check(store: Store) -> StoreStatus:
 @dataclass(frozen=True)
 class _Gathered:
     digests: dict[int, str]
-    valid: dict[int, CodedBlock]
-    primary_valid: set[int]
+    recovery_set: RecoverySet  # every digest-valid block, ascending by index
     suspects: set[int]
-    primary_has_manifest: bool
-    k: int
+    primary_intact: bool  # primary manifest and all k originals valid in primary
 
 
 def _gather(dataset_id: str, primary: Store, secondary: Store) -> _Gathered:
@@ -535,21 +532,20 @@ def _gather(dataset_id: str, primary: Store, secondary: Store) -> _Gathered:
     for index in [i for i, b in valid.items() if b.k != k]:
         suspects.add(index)
         del valid[index]
+    primary_intact = raw["primary"] is not None and all(
+        i in primary_valid and i in valid for i in range(k)
+    )
     return _Gathered(
         digests=dict(digests),
-        valid=valid,
-        primary_valid=primary_valid,
+        recovery_set=RecoverySet(tuple(valid[i] for i in sorted(valid)), k),
         suspects=suspects,
-        primary_has_manifest=raw["primary"] is not None and reachable["primary"],
-        k=k,
+        primary_intact=primary_intact,
     )
 
 
 def collect_recovery_set(dataset_id: str, primary: Store, secondary: Store) -> RecoverySet:
     """All digest-valid blocks of a dataset across both stores, as one set."""
-    gathered = _gather(dataset_id, primary, secondary)
-    blocks = tuple(gathered.valid[i] for i in sorted(gathered.valid))
-    return RecoverySet(blocks, gathered.k)
+    return _gather(dataset_id, primary, secondary).recovery_set
 
 
 def recover_dataset(dataset_id: str, primary: Store, secondary: Store) -> RecoveryResult:
@@ -558,39 +554,30 @@ def recover_dataset(dataset_id: str, primary: Store, secondary: Store) -> Recove
     Step 1: with a healthy primary whose originals all pass their digests,
     return them as-is.  Step 2: otherwise gather every digest-valid block
     from both stores (invalid-but-present files become suspects and are
-    discarded as erasures).  Step 3: reconstruct from any k of them, falling
-    back to corruption location when surplus blocks disagree.  Step 4:
+    discarded as erasures).  Step 3: decode them once, with the corruption
+    search on, so surplus blocks that disagree become suspects.  Step 4:
     recompute the reconstructed originals' digests against the manifest;
     any mismatch raises ValidationFailedError.
     """
     gathered = _gather(dataset_id, primary, secondary)
-    digests = gathered.digests
-    valid = gathered.valid
-    suspects = gathered.suspects
-    k = gathered.k
+    recovery_set, suspects = gathered.recovery_set, gathered.suspects
+    k = recovery_set.k
 
-    if (
-        gathered.primary_has_manifest
-        and all(i in gathered.primary_valid and i in valid for i in range(k))
-    ):
-        originals = tuple(valid[i].value for i in range(k))
+    if gathered.primary_intact:
+        originals = tuple(b.value for b in recovery_set.blocks[:k])
         return RecoveryResult(values=originals, provenance=Provenance.PRIMARY, suspects=())
 
-    if len(valid) < k:
+    if len(recovery_set.blocks) < k:
         raise UnrecoverableError(
-            f"only {len(valid)} digest-valid blocks for {dataset_id!r}, need {k}"
+            f"only {len(recovery_set.blocks)} digest-valid blocks for {dataset_id!r}, need {k}"
         )
-    recovery_set = RecoverySet(tuple(valid[i] for i in sorted(valid)), k)
-    try:
-        values = recover(recovery_set)
-    except InconsistentBlocksError:
-        located = locate_corruption(recovery_set)
-        values = list(located.recovered)
-        suspects.update(located.suspects)
+    p, off = _decode(recovery_set, search=True)
+    values = _originals(p, k)
+    suspects.update(off)
 
     mismatched = [
         i for i in range(k)
-        if block_digest(make_block(i, values[i], k, dataset_id)) != digests.get(i)
+        if block_digest(make_block(i, values[i], k, dataset_id)) != gathered.digests.get(i)
     ]
     if mismatched:
         suspects.update(mismatched)

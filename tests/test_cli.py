@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from lagpar import AmbiguityError, parse_kv_line
 from lagpar.cli import main
 
@@ -30,6 +32,24 @@ def test_encode_quadratic_machine(capsys):
     code, out, _ = run_cli(capsys, "--machine", "encode", "--values", "2,3,5", "--m", "1", "--id", "d2")
     assert code == 0
     assert out == "block index=3 role=parity value=8/1\n"
+
+
+@pytest.mark.parametrize("flag", ["--values", "--val"])
+def test_encode_negative_leading_value(capsys, flag):
+    # P through (0,-1/2),(1,3) has P(2)=13/2
+    code, out, _ = run_cli(capsys, "--machine", "encode", flag, "-1/2,3", "--m", "1", "--id", "d")
+    assert code == 0
+    assert out == "block index=2 role=parity value=13/2\n"
+
+
+def test_store_negative_leading_value(capsys, store_pair):
+    flags = store_flags(store_pair)
+    code, out, _ = run_cli(capsys, "--machine", *flags, "store", "--values", "-1/2,3", "--m", "1", "--id", "d")
+    assert code == 0
+    assert out == "stored dataset=d k=2 m=1 blocks=3\n"
+    code, out, _ = run_cli(capsys, "--machine", *flags, "recover", "--id", "d")
+    assert code == 0
+    assert "values=-1/2,3/1" in out
 
 
 def test_encode_human_mode(capsys):

@@ -11,7 +11,6 @@ from lagpar import (
     MissingInputError,
     ZeroDenominatorError,
     compute_indicator,
-    validate_range,
 )
 
 F = Fraction
@@ -68,16 +67,6 @@ def test_sum_kind_rejects_denominators():
         )
 
 
-def test_range_must_be_ordered():
-    with pytest.raises(InputError):
-        IndicatorDef(
-            id="bad",
-            kind=IndicatorKind.SUM,
-            numerator_inputs=("x",),
-            valid_range=(F(1), F(0)),
-        )
-
-
 @given(
     st.lists(st.fractions(min_value=-100, max_value=100, max_denominator=30), max_size=8),
     st.randoms(use_true_random=False),
@@ -97,32 +86,3 @@ def test_integer_inputs_stay_exact():
     values = {"a": F(1), "b": F(2)}
     result = compute_indicator(sum_indicator(("a", "b")), values)
     assert isinstance(result, Fraction) and result == 3
-
-
-def ranged(lo, hi):
-    return IndicatorDef(
-        id="r",
-        kind=IndicatorKind.SUM,
-        numerator_inputs=("x",),
-        valid_range=(F(lo), F(hi)),
-    )
-
-
-def test_validate_range_ok_inside():
-    verdict = validate_range(F(1, 3), ranged(0, 1))
-    assert verdict.ok and (verdict.lo, verdict.hi) == (F(0), F(1))
-
-
-def test_validate_range_violation_reports_bounds():
-    verdict = validate_range(F(-1), ranged(0, 1))
-    assert not verdict.ok
-    assert verdict.value == F(-1)
-    assert (verdict.lo, verdict.hi) == (F(0), F(1))
-
-
-def test_validate_range_closed_boundary():
-    assert validate_range(F(1), ranged(1, 1)).ok
-
-
-def test_validate_range_absent_range_always_ok():
-    assert validate_range(F(10**9), sum_indicator(("x",))).ok

@@ -1,11 +1,13 @@
 import fcntl
 import os
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 from lagpar import (
+    AmbiguityError,
     BadDatasetIdError,
     DeleteBlock,
     DuplicateDatasetError,
@@ -27,9 +29,12 @@ from lagpar import (
     make_block,
     parse_kv_line,
     recover_dataset,
+    render_block_file,
     store_dataset,
     verify,
 )
+from lagpar.cli import main
+from conftest import random_values
 
 F = Fraction
 
@@ -296,6 +301,49 @@ def test_recover_falls_back_to_corruption_location(store_pair):
     assert result.provenance is Provenance.RECONSTRUCTED
     assert result.values == (F(0), F(1))
     assert result.suspects == (2,)
+
+
+def _plant_parity(primary, secondary, dataset_id, block, m):
+    """Overwrite a parity block with a digest-valid but wrong value."""
+    secondary.block_path(dataset_id, block.index).write_text(render_block_file(block, m))
+    for store in (primary, secondary):
+        _swap_manifest_digest(store, dataset_id, block.index, block_digest(block))
+
+
+def test_recover_ambiguity_end_to_end(store_pair, capsys):
+    # blocks 1, 2 (planted) and 3 are pairwise inconsistent: three lines tie
+    primary, secondary = store_pair
+    store_dataset([F(0), F(1)], 2, "line", primary, secondary, created_at=TS)
+    inject_fault(primary, DeleteBlock("line", 0))
+    _plant_parity(primary, secondary, "line", make_block(2, F(99), 2, "line"), 2)
+    with pytest.raises(AmbiguityError):
+        recover_dataset("line", primary, secondary)
+    flags = ["--primary", str(primary.root), "--secondary", str(secondary.root)]
+    assert main([*flags, "recover", "--id", "line"]) == 4
+    assert "error:" in capsys.readouterr().err
+
+
+def test_recover_past_search_cap_when_consistent(store_pair):
+    # 19 valid blocks exceed the 16-block search cap; no search is needed
+    primary, secondary = store_pair
+    values = random_values(random.Random(19), 10)
+    store_dataset(values, 10, "wide", primary, secondary, created_at=TS)
+    inject_fault(primary, DeleteBlock("wide", 4))
+    assert len(collect_recovery_set("wide", primary, secondary).blocks) == 19
+    result = recover_dataset("wide", primary, secondary)
+    assert result.provenance is Provenance.RECONSTRUCTED
+    assert result.values == tuple(values)
+    assert result.suspects == ()
+
+
+def test_recover_search_cap_when_inconsistent(store_pair):
+    primary, secondary = store_pair
+    values = random_values(random.Random(19), 10)
+    store_dataset(values, 10, "wide", primary, secondary, created_at=TS)
+    inject_fault(primary, DeleteBlock("wide", 4))
+    _plant_parity(primary, secondary, "wide", make_block(12, F(7, 3), 10, "wide"), 10)
+    with pytest.raises(InputError, match="exhaustive-search limit 16"):
+        recover_dataset("wide", primary, secondary)
 
 
 def test_collect_recovery_set_feeds_verify(store_pair):
