@@ -3,7 +3,7 @@
 k data values sit at x = 0..k-1 on the unique degree <= k-1 polynomial
 through them; parity blocks are extra samples of that polynomial.  Any k
 surviving blocks reconstruct the originals bit-exactly, corrupted blocks
-can be located by maximum-agreement search, and a two-tier file store plus
+can be located by Berlekamp-Welch decoding, and a two-tier file store plus
 CLI drive the whole workflow.
 """
 

@@ -6,13 +6,13 @@ x = k, k+1, ...  Any k distinct blocks reconstruct the polynomial and hence
 the originals, bit-exactly.
 
 Decoding is one function, _decode: fit the k lowest-index blocks, find the
-blocks off that fit, and only if asked and some block is off, search for
-the polynomial agreeing with the most blocks.  recover, verify and
-locate_corruption are three views of it: recover insists nothing is off,
-verify reports what is off, and locate_corruption searches and names the
-outliers as suspects.  The search is exhaustive over k-subsets, intended
-for desk-scale sets (at most 16 blocks): its answer is guaranteed unique
-when the number of corrupted blocks e satisfies n >= k + 2e.
+blocks off that fit, and only if asked and too many blocks are off, locate
+the corruption by one Berlekamp-Welch solve over the rationals.  recover,
+verify and locate_corruption are three views of it: recover insists nothing
+is off, verify reports what is off, and locate_corruption locates and names
+the outliers as suspects.  Location answers whenever the number of corrupted
+blocks e satisfies n >= k + 2e, and its answer is then the unique polynomial
+agreeing with the most blocks.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations, islice
 from typing import Sequence
 
 from .errors import (
@@ -36,7 +35,6 @@ from .errors import (
 from .poly import Point, Polynomial, evaluate, evaluate_many, interpolate
 
 DEFAULT_MAX_PARITY = 1024
-DEFAULT_MAX_LOCATE_BLOCKS = 16
 
 
 class BlockRole(Enum):
@@ -139,30 +137,45 @@ def encode(
     return [make_block(k + j, v, k, dataset_id) for j, v in enumerate(parity_values)]
 
 
-def _check_search_size(n: int, k: int, max_blocks: int) -> None:
-    """The exhaustive search needs more than k and at most max_blocks blocks."""
-    if n <= k:
-        raise InsufficientRedundancyError(
-            f"corruption location needs more than k={k} blocks, have {n}"
-        )
-    if n > max_blocks:
-        raise InputError(f"{n} blocks exceeds the exhaustive-search limit {max_blocks}")
+def _error_free_positions(points: Sequence[Point], k: int) -> list[int]:
+    """Berlekamp-Welch: positions of the points where the error locator E is nonzero.
+
+    With e = (n-k)//2, solves Q(x_i) = y_i*E(x_i) (deg Q < e+k, E monic of degree
+    e) by Gauss-Jordan elimination, free unknowns zero.  If a P of degree < k is
+    off at most e points, every solution has Q = P*E, so P passes through the
+    >= n-e points where E is nonzero.  Without such a P the system may have no
+    solution; it is read as if solved, and the caller's refit finds no quorum.
+    """
+    n, e = len(points), (len(points) - k) // 2
+    # columns: Q's e+k coefficients, E's lower e, then the right-hand side y*x**e
+    rows = [[x**j for j in range(e + k)] + [-y * x**j for j in range(e)] + [y * x**e]
+            for x, y in points]
+    pivots: list[int] = []
+    for col in range(2 * e + k):
+        r = len(pivots)
+        pivot = next((i for i in range(r, n) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for i, row in enumerate(rows):  # the pivot row is zero left of col
+            if i != r and row[col]:
+                row[col:] = [a - row[col] * b for a, b in zip(row[col:], rows[r][col:])]
+        pivots.append(col)
+    solved = {col: row[-1] for col, row in zip(pivots, rows)}
+    locator = Polynomial([solved.get(col, 0) for col in range(e + k, 2 * e + k)] + [1])
+    return [i for i, point in enumerate(points) if evaluate(locator, point.x)]
 
 
 def _decode(
-    recovery_set: RecoverySet,
-    *,
-    search: bool = False,
-    max_blocks: int = DEFAULT_MAX_LOCATE_BLOCKS,
+    recovery_set: RecoverySet, *, search: bool = False
 ) -> tuple[Polynomial, tuple[int, ...]]:
-    """Fit the k lowest-index blocks; with search, find the best-agreeing polynomial.
+    """Fit the k lowest-index blocks; with search, locate corrupted blocks.
 
-    Returns (polynomial, indices of the blocks off it).  The search runs only
-    when some block is off the first fit.  It interpolates k-subsets
-    exhaustively, skipping any subset inside an already-found candidate's
-    agreement set, which by uniqueness of interpolation would reproduce that
-    candidate.  Raises AmbiguityError when two distinct polynomials tie for
-    maximal agreement, which needs n < k + 2e.
+    Returns (polynomial, indices of the blocks off it).  When searching and fewer
+    than the quorum n - (n-k)//2 lie on the first fit, refits k positions that
+    Berlekamp-Welch finds error-free; AmbiguityError if that misses it too.  Two
+    polynomials reaching the quorum share k blocks, so one that does is the best.
     """
     k = recovery_set.k
     blocks = sorted(recovery_set.blocks, key=lambda b: b.index)
@@ -170,39 +183,23 @@ def _decode(
     if n < k:
         raise InsufficientBlocksError(f"need {k} blocks, have {n}")
 
+    points = [Point(Fraction(b.index), b.value) for b in blocks]
+
     def fit(positions):
-        return interpolate([Point(Fraction(blocks[i].index), blocks[i].value) for i in positions])
+        return interpolate([points[i] for i in positions])
 
     def agreement(p) -> frozenset[int]:
         """Positions of the blocks whose value lies on p."""
-        return frozenset(
-            i for i, b in enumerate(blocks) if evaluate(p, Fraction(b.index)) == b.value
-        )
+        return frozenset(i for i, (x, y) in enumerate(points) if evaluate(p, x) == y)
 
     p = fit(range(k))
     agree = agreement(p)
-    if search and len(agree) < n:
-        _check_search_size(n, k, max_blocks)
-        candidates = {p: agree}  # polynomial -> agreement set
-        # only agreement sets larger than k can strictly contain another k-subset
-        prunable = [agree] if len(agree) > k else []
-        # the first k-subset is the fit already made above
-        for subset in islice(combinations(range(n), k), 1, None):
-            if any(seen.issuperset(subset) for seen in prunable):
-                continue
-            q = fit(subset)
-            if q in candidates:
-                continue
-            candidates[q] = seen = agreement(q)
-            if len(seen) > k:
-                prunable.append(seen)
-        best = max(len(seen) for seen in candidates.values())
-        winners = [q for q, seen in candidates.items() if len(seen) == best]
-        if len(winners) > 1:
-            raise AmbiguityError(
-                f"{len(winners)} distinct polynomials each agree with {best} of {n} blocks"
-            )
-        p, agree = winners[0], candidates[winners[0]]
+    quorum = n - (n - k) // 2
+    if search and len(agree) < quorum:
+        p = fit(_error_free_positions(points, k)[:k])
+        agree = agreement(p)
+        if len(agree) < quorum:
+            raise AmbiguityError(f"no polynomial agrees with at least {quorum} of {n} blocks")
     return p, tuple(b.index for i, b in enumerate(blocks) if i not in agree)
 
 
@@ -232,17 +229,17 @@ def verify(recovery_set: RecoverySet) -> VerifyReport:
     return VerifyReport(consistent=not residuals, residual_indices=residuals)
 
 
-def locate_corruption(
-    recovery_set: RecoverySet,
-    *,
-    max_blocks: int = DEFAULT_MAX_LOCATE_BLOCKS,
-) -> CorrectionResult:
+def locate_corruption(recovery_set: RecoverySet) -> CorrectionResult:
     """Find the polynomial consistent with the most blocks; outliers are suspects.
 
-    Needs more than k and at most max_blocks blocks, even when they agree.
-    Raises AmbiguityError when two distinct polynomials tie for maximal
-    agreement, which can only happen when n < k + 2e.
+    Needs more than k blocks, even when they agree; answers when the e corrupted
+    blocks satisfy n >= k + 2e.  Raises AmbiguityError when no polynomial agrees
+    with n - (n-k)//2 blocks, even if one agrees with more than any other.
     """
-    _check_search_size(len(recovery_set.blocks), recovery_set.k, max_blocks)
-    p, suspects = _decode(recovery_set, search=True, max_blocks=max_blocks)
-    return CorrectionResult(recovered=tuple(_originals(p, recovery_set.k)), suspects=suspects)
+    n, k = len(recovery_set.blocks), recovery_set.k
+    if n <= k:
+        raise InsufficientRedundancyError(
+            f"corruption location needs more than k={k} blocks, have {n}"
+        )
+    p, suspects = _decode(recovery_set, search=True)
+    return CorrectionResult(recovered=tuple(_originals(p, k)), suspects=suspects)

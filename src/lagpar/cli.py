@@ -187,7 +187,7 @@ def _demo_recover(
         primary, secondary = Store(Path(tmp) / "primary"), Store(Path(tmp) / "secondary")
         store_dataset(values, m, dataset_id, primary, secondary)
         print(f"stored dataset={dataset_id} k={k} m={m}")
-        for block in encode(values, m, dataset_id):
+        for block in collect_recovery_set(dataset_id, primary, secondary).blocks[k:]:
             print(block_line(block))
         for index in lost:
             inject_fault(primary, DeleteBlock(dataset_id, index))

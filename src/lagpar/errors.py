@@ -6,8 +6,8 @@ Three CLI-relevant families hang off :class:`LagparError`:
   caller (CLI exit code 2),
 * :class:`RecoveryError`: recovery is impossible or failed validation
   (CLI exit code 3),
-* :class:`AmbiguityError`: corruption location found two equally good
-  candidate polynomials (CLI exit code 4).
+* :class:`AmbiguityError`: too many blocks are corrupted to locate them
+  unambiguously (CLI exit code 4).
 """
 
 from __future__ import annotations
@@ -110,4 +110,4 @@ class StoreLockedError(RecoveryError):
 
 
 class AmbiguityError(LagparError):
-    """Two distinct polynomials explain equally many blocks."""
+    """No polynomial agrees with n - (n-k)//2 of n blocks, even if one agrees with the most."""

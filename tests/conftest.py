@@ -1,9 +1,16 @@
+import os
 import random
 from fractions import Fraction
 
 import pytest
 
 from lagpar import Store
+
+
+def pytest_configure(config):
+    """Let subprocesses that run `python -m lagpar` import this checkout too."""
+    paths = (str(config.rootpath / "src"), os.environ.get("PYTHONPATH"))
+    os.environ["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
 
 
 @pytest.fixture

@@ -233,9 +233,7 @@ def test_locate_preconditions():
     with pytest.raises(InsufficientRedundancyError):
         locate_corruption(RecoverySet(tuple(blocks), 2))
     wide = full_set([F(1)] * 8, 10)
-    with pytest.raises(InputError):
-        locate_corruption(wide)
-    assert locate_corruption(wide, max_blocks=18).suspects == ()
+    assert locate_corruption(wide).suspects == ()
 
 
 def test_locate_two_corruptions_within_bound():
@@ -247,3 +245,59 @@ def test_locate_two_corruptions_within_bound():
     result = locate_corruption(RecoverySet(tuple(blocks), 4))  # n=8 = k+2e
     assert result.recovered == tuple(values)
     assert result.suspects == (1, 6)
+
+
+@st.composite
+def corruption_case(draw):
+    k = draw(st.integers(min_value=1, max_value=4))
+    n = draw(st.integers(min_value=k + 1, max_value=8))
+    values = draw(
+        st.lists(
+            st.fractions(min_value=-99, max_value=99, max_denominator=9),
+            min_size=k,
+            max_size=k,
+        )
+    )
+    corrupted = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+    nonzero = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+    deltas = [draw(nonzero) for _ in corrupted]
+    return values, n, dict(zip(sorted(corrupted), deltas))
+
+
+@given(corruption_case())
+@settings(max_examples=200, deadline=None)
+def test_property_locate_matches_oracle(case):
+    values, n, deltas = case
+    k = len(values)
+    blocks = original_blocks(values, "d") + encode(values, n - k, "d")
+    for index, delta in deltas.items():
+        blocks[index] = corrupt(blocks[index], delta)
+    best, winners = max_agreement([(b.index, b.value) for b in blocks], k)
+    if n >= k + 2 * len(deltas):
+        result = locate_corruption(RecoverySet(tuple(blocks), k))
+        assert result.recovered == tuple(values)
+        assert result.suspects == tuple(sorted(deltas))
+        assert len(winners) == 1 and best == n - len(deltas)
+        return
+    try:
+        result = locate_corruption(RecoverySet(tuple(blocks), k))
+    except AmbiguityError:
+        return
+    # beyond the radius an answer must still be the oracle's single winner
+    assert len(winners) == 1
+    (winner,) = winners
+    assert result.recovered == tuple(eval_brute(winner, i) for i in range(k))
+    off = tuple(b.index for b in blocks if eval_brute(winner, b.index) != b.value)
+    assert result.suspects == off
+
+
+def test_locate_wide_at_radius():
+    rng = random.Random(20)
+    values = random_values(rng, 10)
+    blocks = original_blocks(values, "d") + encode(values, 10, "d")
+    corrupted = sorted(rng.sample(range(20), 5))
+    for index in corrupted:
+        blocks[index] = corrupt(blocks[index], F(rng.randint(1, 9), rng.randint(1, 9)))
+    result = locate_corruption(RecoverySet(tuple(blocks), 10))  # n=20 = k+2e
+    assert result.recovered == tuple(values)
+    assert result.suspects == tuple(corrupted)

@@ -336,14 +336,18 @@ def test_recover_past_search_cap_when_consistent(store_pair):
     assert result.suspects == ()
 
 
-def test_recover_search_cap_when_inconsistent(store_pair):
+def test_recover_search_cap_when_inconsistent(store_pair, capsys):
     primary, secondary = store_pair
     values = random_values(random.Random(19), 10)
     store_dataset(values, 10, "wide", primary, secondary, created_at=TS)
     inject_fault(primary, DeleteBlock("wide", 4))
     _plant_parity(primary, secondary, "wide", make_block(12, F(7, 3), 10, "wide"), 10)
-    with pytest.raises(InputError, match="exhaustive-search limit 16"):
-        recover_dataset("wide", primary, secondary)
+    result = recover_dataset("wide", primary, secondary)
+    assert result.values == tuple(values)
+    assert result.suspects == (12,)
+    flags = ["--primary", str(primary.root), "--secondary", str(secondary.root)]
+    assert main(["--machine", *flags, "recover", "--id", "wide"]) == 0
+    assert "suspects=12\n" in capsys.readouterr().out
 
 
 def test_collect_recovery_set_feeds_verify(store_pair):
