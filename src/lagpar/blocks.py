@@ -114,13 +114,7 @@ def original_blocks(values: Sequence[Fraction], dataset_id: str) -> list[CodedBl
     return [make_block(i, v, k, dataset_id) for i, v in enumerate(values)]
 
 
-def encode(
-    values: Sequence[Fraction],
-    m: int,
-    dataset_id: str,
-    *,
-    max_parity: int = DEFAULT_MAX_PARITY,
-) -> list[CodedBlock]:
+def encode(values: Sequence[Fraction], m: int, dataset_id: str) -> list[CodedBlock]:
     """Sample m parity blocks at indices k..k+m-1 from the interpolant.
 
     Deterministic: equal inputs always produce equal blocks.
@@ -129,8 +123,8 @@ def encode(
         raise EmptyInputError("no values to encode")
     if m < 0:
         raise InputError(f"parity count must be >= 0, got {m}")
-    if m > max_parity:
-        raise InputError(f"parity count {m} exceeds sanity limit {max_parity}")
+    if m > DEFAULT_MAX_PARITY:
+        raise InputError(f"parity count {m} exceeds sanity limit {DEFAULT_MAX_PARITY}")
     k = len(values)
     p = interpolate([Point(Fraction(i), Fraction(v)) for i, v in enumerate(values)])
     parity_values = evaluate_many(p, [Fraction(k + j) for j in range(m)])

@@ -11,7 +11,7 @@ one file per block plus a manifest (all UTF-8, LF line endings, bit-exact):
     <root>/<dataset_id>/manifest.plym
         PLYM1
         digest index=<int> sha256=<64 hex>      (one line per block, ascending)
-        created=<ISO-8601 UTC>
+        created=<YYYY-MM-DDTHH:MM:SSZ>            (zero-padded UTC)
 
     <root>/.unreachable                          (fault flag honored everywhere)
 
@@ -21,6 +21,11 @@ strict parsing instead: the dataset must match the directory, the index must
 match the filename, the role must match the threshold, and k+m must equal
 the manifest's digest count, so any single-byte change to a block file is
 detected either by the digest or by a framing check.
+
+Each format has one reader: _checked_block for block files, _read_manifest
+for manifests.  _scan reads a dataset directory once against a digest map;
+health_check flags what it rejects, and recover gathers its valid blocks
+from both stores.
 
 Originals are written to the primary store, parity blocks to the secondary,
 and the manifest to both; the manifest is written last, after every block,
@@ -45,7 +50,6 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .blocks import (
-    DEFAULT_MAX_PARITY,
     BlockRole,
     CodedBlock,
     RecoverySet,
@@ -81,13 +85,9 @@ _META_RE = re.compile(rf"dataset=([A-Za-z0-9_-]{{1,64}}) k=({_INT}) m=({_INT})\Z
 _BLOCK_LINE_RE = re.compile(rf"block index=({_INT}) role=(original|parity) value=([^ ]+)\Z")
 _BLOCK_FILENAME_RE = re.compile(rf"block_({_INT})\.plyd\Z")
 _DIGEST_LINE_RE = re.compile(rf"digest index=({_INT}) sha256=([0-9a-f]{{64}})\Z")
-_CREATED_RE = re.compile(r"created=([0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z)\Z")
+_CREATED_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z\Z")
 _TAG_RE = re.compile(r"[a-z][a-z0-9_-]*\Z")
 _KEY_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
-
-
-class _FormatError(Exception):
-    """Internal: a file deviates from its bit-exact format."""
 
 
 @dataclass(frozen=True)
@@ -126,17 +126,6 @@ class DatasetManifest:
     m: int
     block_digests: Mapping[int, str]
     created_at: str
-
-    def __post_init__(self):
-        if not _DATASET_ID_RE.match(self.dataset_id):
-            raise BadDatasetIdError(f"bad dataset id: {self.dataset_id!r}")
-        if self.k < 1 or self.m < 0:
-            raise ValueError(f"bad thresholds: k={self.k} m={self.m}")
-        if sorted(self.block_digests) != list(range(self.k + self.m)):
-            raise ValueError("digests must cover exactly indices 0..k+m-1")
-        if not all(re.fullmatch(r"[0-9a-f]{64}", d) for d in self.block_digests.values()):
-            raise ValueError("digests must be 64 lowercase hex characters")
-        _validate_created(self.created_at)
 
 
 @dataclass(frozen=True)
@@ -232,66 +221,15 @@ def _utc_now() -> str:
     return datetime.now(timezone.utc).strftime(CREATED_FORMAT)
 
 
-def _validate_created(ts: str) -> None:
+def _valid_created(ts: str) -> bool:
+    """Whether ts is a zero-padded UTC YYYY-MM-DDTHH:MM:SSZ naming a real instant."""
+    if _CREATED_RE.match(ts) is None:
+        return False
     try:
         datetime.strptime(ts, CREATED_FORMAT)
-    except ValueError as exc:
-        raise InputError(f"bad created timestamp: {ts!r}") from exc
-
-
-def _parse_block_text(text: str) -> tuple[CodedBlock, int]:
-    """Strictly parse a block file body; any deviation raises _FormatError."""
-    parts = text.split("\n")
-    if len(parts) != 4 or parts[3] != "":
-        raise _FormatError("block file must be exactly three LF-terminated lines")
-    if parts[0] != BLOCK_MAGIC:
-        raise _FormatError(f"bad magic: {parts[0]!r}")
-    meta = _META_RE.match(parts[1])
-    if meta is None:
-        raise _FormatError(f"bad metadata line: {parts[1]!r}")
-    dataset_id, k_text, m_text = meta.groups()
-    body = _BLOCK_LINE_RE.match(parts[2])
-    if body is None:
-        raise _FormatError(f"bad block line: {parts[2]!r}")
-    index_text, role_text, value_text = body.groups()
-    try:
-        value = parse_rational(value_text)
-    except BadRationalError as exc:
-        raise _FormatError(str(exc)) from exc
-    try:
-        block = CodedBlock(
-            index=int(index_text),
-            value=value,
-            role=BlockRole(role_text),
-            k=int(k_text),
-            dataset_id=dataset_id,
-        )
-    except ValueError as exc:
-        raise _FormatError(str(exc)) from exc
-    return block, int(m_text)
-
-
-def _parse_manifest_text(text: str) -> tuple[dict[int, str], str]:
-    """Strictly parse a manifest body into (digest map, created timestamp)."""
-    parts = text.split("\n")
-    if len(parts) < 4 or parts[-1] != "":
-        raise _FormatError("manifest must end with LF and hold at least one digest")
-    if parts[0] != MANIFEST_MAGIC:
-        raise _FormatError(f"bad magic: {parts[0]!r}")
-    created_match = _CREATED_RE.match(parts[-2])
-    if created_match is None:
-        raise _FormatError(f"bad created line: {parts[-2]!r}")
-    try:
-        datetime.strptime(created_match.group(1), CREATED_FORMAT)
-    except ValueError as exc:
-        raise _FormatError(str(exc)) from exc
-    digests: dict[int, str] = {}
-    for position, line in enumerate(parts[1:-2]):
-        match = _DIGEST_LINE_RE.match(line)
-        if match is None or int(match.group(1)) != position:
-            raise _FormatError(f"bad digest line at position {position}: {line!r}")
-        digests[position] = match.group(2)
-    return digests, created_match.group(1)
+    except ValueError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -331,17 +269,23 @@ def _is_reachable(store: Store) -> bool:
     return store.root.is_dir() and not store.flag_path.exists()
 
 
-def _read_raw_manifest(store: Store, dataset_id: str) -> dict[int, str] | None:
-    """Digest map from the store's manifest, or None if absent/corrupt."""
-    path = store.manifest_path(dataset_id)
+def _read_manifest(store: Store, dataset_id: str) -> dict[int, str] | None:
+    """Digest map from the store's manifest, or None if absent or malformed."""
     try:
-        text = path.read_bytes().decode("utf-8")
+        parts = store.manifest_path(dataset_id).read_bytes().decode("utf-8").split("\n")
     except (OSError, UnicodeDecodeError):
         return None
-    try:
-        digests, _ = _parse_manifest_text(text)
-    except _FormatError:
+    if len(parts) < 4 or parts[0] != MANIFEST_MAGIC or parts[-1] != "":
         return None
+    tag, _, created = parts[-2].partition("=")
+    if tag != "created" or not _valid_created(created):
+        return None
+    digests: dict[int, str] = {}
+    for position, line in enumerate(parts[1:-2]):
+        match = _DIGEST_LINE_RE.match(line)
+        if match is None or int(match.group(1)) != position:
+            return None
+        digests[position] = match.group(2)
     return digests
 
 
@@ -350,38 +294,69 @@ def _checked_block(
 ) -> CodedBlock | None:
     """Parse and validate a block file; None means erasure-grade invalid.
 
-    Valid means: strict format, dataset matches the directory, index matches
-    the filename, k+m matches the manifest's digest count, and the canonical
-    line hashes to the manifest's digest for this index.
+    Valid means: exactly three LF-terminated lines in the strict format, the
+    dataset matches the directory, the index matches the filename, k+m
+    matches the manifest's digest count, and the canonical line hashes to the
+    manifest's digest for this index.
     """
     try:
-        text = path.read_bytes().decode("utf-8")
+        parts = path.read_bytes().decode("utf-8").split("\n")
     except (OSError, UnicodeDecodeError):
         return None
+    if len(parts) != 4 or parts[0] != BLOCK_MAGIC or parts[3] != "":
+        return None
+    meta = _META_RE.match(parts[1])
+    body = _BLOCK_LINE_RE.match(parts[2])
+    if meta is None or body is None:
+        return None
+    block_dataset, k_text, m_text = meta.groups()
+    index_text, role_text, value_text = body.groups()
     try:
-        block, m = _parse_block_text(text)
-    except _FormatError:
+        block = CodedBlock(
+            index=int(index_text),
+            value=parse_rational(value_text),
+            role=BlockRole(role_text),
+            k=int(k_text),
+            dataset_id=block_dataset,
+        )
+    except (BadRationalError, ValueError):
         return None
     if block.dataset_id != dataset_id or block.index != index:
         return None
-    if block.k + m != len(digests):
+    if block.k + int(m_text) != len(digests):
         return None
     if block_digest(block) != digests.get(index):
         return None
     return block
 
 
-def _block_files(store: Store, dataset_id: str) -> list[tuple[int, Path]]:
-    """(index, path) for every well-named block file of a dataset, ascending."""
+def _scan(
+    store: Store, dataset_id: str, digests: Mapping[int, str]
+) -> tuple[dict[int, CodedBlock], list[tuple[Path, int | None]]]:
+    """Check each file of a dataset directory once against a digest map.
+
+    Returns the valid blocks by index, and every other file (the manifest
+    and dot-files aside) with the block index its name gives, or None if its
+    name is not a block file name.  Only block files whose index has a
+    digest are read.
+    """
+    valid: dict[int, CodedBlock] = {}
+    others: list[tuple[Path, int | None]] = []
     directory = store.dataset_dir(dataset_id)
     if not directory.is_dir():
-        return []
-    found = []
-    for path in directory.iterdir():
-        match = _BLOCK_FILENAME_RE.match(path.name)
-        if match and path.is_file():
-            found.append((int(match.group(1)), path))
-    return sorted(found)
+        return valid, others
+    for path in sorted(directory.iterdir(), key=lambda p: p.name):
+        name = path.name
+        if name == MANIFEST_NAME or name.startswith(".") or not path.is_file():
+            continue
+        match = _BLOCK_FILENAME_RE.match(name)
+        index = int(match.group(1)) if match else None
+        block = _checked_block(path, dataset_id, index, digests) if index in digests else None
+        if block is None:
+            others.append((path, index))
+        else:
+            valid[index] = block
+    return valid, others
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +372,6 @@ def store_dataset(
     secondary: Store,
     *,
     created_at: str | None = None,
-    max_parity: int = DEFAULT_MAX_PARITY,
     crash_hook: Callable[[str], None] | None = None,
 ) -> DatasetManifest:
     """Write originals to primary, parity to secondary, the manifest to both.
@@ -411,11 +385,13 @@ def store_dataset(
         raise BadDatasetIdError(f"bad dataset id: {dataset_id!r}")
     if primary.root.resolve() == secondary.root.resolve():
         raise InputError("primary and secondary stores must be different directories")
+    created = created_at if created_at is not None else _utc_now()
+    if not _valid_created(created):
+        raise InputError(f"bad created timestamp: {created!r}")
     values = [Fraction(v) for v in values]
     originals = original_blocks(values, dataset_id)
-    parity = encode(values, m, dataset_id, max_parity=max_parity)
+    parity = encode(values, m, dataset_id)
     k = len(values)
-    created = created_at if created_at is not None else _utc_now()
     digests = {b.index: block_digest(b) for b in [*originals, *parity]}
     manifest = DatasetManifest(dataset_id, k, m, digests, created)
 
@@ -461,20 +437,12 @@ def health_check(store: Store) -> StoreStatus:
         if not manifest_path.is_file():
             continue
         datasets.append(directory.name)
-        digests = _read_raw_manifest(store, directory.name)
+        digests = _read_manifest(store, directory.name)
         if digests is None:
             corrupt.append(manifest_path)
             continue
-        for path in sorted(directory.iterdir()):
-            if path.name == MANIFEST_NAME or not path.is_file() or path.name.startswith("."):
-                continue
-            match = _BLOCK_FILENAME_RE.match(path.name)
-            if match is None:
-                corrupt.append(path)
-                continue
-            index = int(match.group(1))
-            if index not in digests or _checked_block(path, directory.name, index, digests) is None:
-                corrupt.append(path)
+        _, others = _scan(store, directory.name, digests)
+        corrupt.extend(path for path, _ in others)
     return StoreStatus(
         reachable=True, datasets_present=tuple(datasets), corrupt_files=tuple(corrupt)
     )
@@ -492,7 +460,7 @@ def _gather(dataset_id: str, primary: Store, secondary: Store) -> _Gathered:
     """Collect every digest-valid block of a dataset from both stores.
 
     Present-but-invalid block files become suspects and are discarded as
-    erasures.  The threshold k is adopted by majority vote over the valid
+    erasures; files whose index has no digest are ignored.  The threshold k is adopted by majority vote over the valid
     blocks' own metadata (its sum with m is pinned to the manifest's digest
     count per block); dissenting blocks are demoted to suspects.
     """
@@ -501,29 +469,20 @@ def _gather(dataset_id: str, primary: Store, secondary: Store) -> _Gathered:
     named = (("primary", primary), ("secondary", secondary))
     reachable = {name: _is_reachable(store) for name, store in named}
     raw = {
-        name: _read_raw_manifest(store, dataset_id) if reachable[name] else None
+        name: _read_manifest(store, dataset_id) if reachable[name] else None
         for name, store in named
     }
     digests = raw["primary"] if raw["primary"] is not None else raw["secondary"]
     if digests is None:
         raise ManifestMissingError(f"no reachable store has a manifest for {dataset_id!r}")
 
-    valid: dict[int, CodedBlock] = {}
-    primary_valid: set[int] = set()
-    suspects: set[int] = set()
-    for name, store in named:
-        if not reachable[name]:
-            continue
-        for index, path in _block_files(store, dataset_id):
-            if index not in digests:
-                continue
-            block = _checked_block(path, dataset_id, index, digests)
-            if block is None:
-                suspects.add(index)
-                continue
-            valid.setdefault(index, block)
-            if name == "primary":
-                primary_valid.add(index)
+    scans = {
+        name: _scan(store, dataset_id, digests) if reachable[name] else ({}, [])
+        for name, store in named
+    }
+    primary_valid = scans["primary"][0]
+    valid = {**scans["secondary"][0], **primary_valid}
+    suspects = {i for _, others in scans.values() for _, i in others if i in digests}
     if not valid:
         raise UnrecoverableError(f"no digest-valid blocks for {dataset_id!r}")
 

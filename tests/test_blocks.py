@@ -67,7 +67,6 @@ def test_encode_validation():
         encode([F(1)], -1, "d")
     with pytest.raises(InputError):
         encode([F(1)], 2000, "d")
-    assert len(encode([F(1)], 2000, "d", max_parity=4096)) == 2000
 
 
 def test_original_blocks_roles():

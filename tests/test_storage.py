@@ -103,8 +103,14 @@ def test_store_requires_distinct_roots(tmp_path):
 
 def test_store_bad_created_at(store_pair):
     primary, secondary = store_pair
-    with pytest.raises(InputError):
-        store_dataset([F(1)], 1, "d", primary, secondary, created_at="yesterday")
+    for bad in ("yesterday", "2026-1-1T0:0:0Z"):
+        with pytest.raises(InputError):
+            store_dataset([F(1)], 1, "d", primary, secondary, created_at=bad)
+        assert not primary.dataset_dir("d").exists()
+        assert not secondary.dataset_dir("d").exists()
+    store_dataset([F(1)], 1, "d", primary, secondary, created_at=TS)
+    inject_fault(primary, DeleteBlock("d", 0))
+    assert recover_dataset("d", primary, secondary).values == (F(1),)
 
 
 def test_store_without_parity(store_pair):
@@ -187,6 +193,21 @@ def test_health_flags_stray_and_misnamed_files(store_pair):
     (primary.dataset_dir("carbon") / "notes.txt").write_text("junk\n")
     flagged = {p.name for p in health_check(primary).corrupt_files}
     assert flagged == {"block_01.plyd", "notes.txt"}
+
+
+def test_stray_block_and_flipped_block_in_both_views(store_pair):
+    # block_6 has no digest (k+m = 6): health flags it, recover ignores it
+    primary, secondary = store_pair
+    store_carbon(primary, secondary)
+    stray = secondary.block_path("carbon", 6)
+    stray.write_text(render_block_file(make_block(6, F(1), 4, "carbon"), 2))
+    inject_fault(primary, FlipByte("carbon", 1, 10))
+    assert health_check(primary).corrupt_files == (primary.block_path("carbon", 1),)
+    assert health_check(secondary).corrupt_files == (stray,)
+    result = recover_dataset("carbon", primary, secondary)
+    assert result.provenance is Provenance.RECONSTRUCTED
+    assert result.values == tuple(CARBON)
+    assert result.suspects == (1,)
 
 
 # --- recover_dataset --------------------------------------------------------
