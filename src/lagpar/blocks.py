@@ -5,6 +5,13 @@ through them; parity blocks are further samples of that polynomial at
 x = k, k+1, ...  Any k distinct blocks reconstruct the polynomial and hence
 the originals, bit-exactly.
 
+Both kernels work on Python ints: the values are scaled by the lcm of their
+denominators, and each output is one Fraction(numerator, denominator).
+encode extends the forward-difference table of the scaled values, k*m
+integer additions.  Decoding evaluates the polynomial through k blocks with
+integer barycentric Lagrange over one common denominator (_interpolate_at),
+O(k) integer operations per target however large its index.
+
 Decoding is one function, _decode: fit the k lowest-index blocks, find the
 blocks off that fit, and only if asked and too many blocks are off, locate
 the corruption by one Berlekamp-Welch solve over the rationals.  recover,
@@ -17,10 +24,12 @@ agreeing with the most blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from itertools import accumulate
+from typing import Iterable, Sequence
 
 from .errors import (
     AmbiguityError,
@@ -32,7 +41,7 @@ from .errors import (
     InsufficientRedundancyError,
     MixedDatasetError,
 )
-from .poly import Point, Polynomial, evaluate, evaluate_many, interpolate
+from .poly import Point, Polynomial, evaluate
 
 DEFAULT_MAX_PARITY = 1024
 
@@ -126,9 +135,56 @@ def encode(values: Sequence[Fraction], m: int, dataset_id: str) -> list[CodedBlo
     if m > DEFAULT_MAX_PARITY:
         raise InputError(f"parity count {m} exceeds sanity limit {DEFAULT_MAX_PARITY}")
     k = len(values)
-    p = interpolate([Point(Fraction(i), Fraction(v)) for i, v in enumerate(values)])
-    parity_values = evaluate_many(p, [Fraction(k + j) for j in range(m)])
-    return [make_block(k + j, v, k, dataset_id) for j, v in enumerate(parity_values)]
+    row, scale = _scaled([Fraction(v) for v in values])
+    # the last entry of each order of forward differences, highest order first;
+    # the (k-1)-th difference of a degree <= k-1 polynomial is constant, so a
+    # prefix sum over them advances every order one step, the last entry
+    # becoming the next sample
+    tail = []
+    while row:
+        tail.append(row[-1])
+        row = [b - a for a, b in zip(row, row[1:])]
+    tail.reverse()
+    blocks = []
+    for j in range(m):
+        tail = list(accumulate(tail))
+        blocks.append(make_block(k + j, Fraction(tail[-1], scale), k, dataset_id))
+    return blocks
+
+
+def _scaled(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """The values times L, the lcm of their denominators, as ints; and L."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values], scale
+
+
+def _interpolate_at(
+    xs: Sequence[int], ys: Sequence[Fraction], targets: Iterable[int]
+) -> list[Fraction]:
+    """Values at integer targets of the polynomial of degree < len(xs) through (xs, ys).
+
+    Barycentric Lagrange (Berrut & Trefethen, SIAM Review 2004) in integers: with
+    D_j = prod_{i != j} (x_j - x_i), W the lcm of the D_j, L the lcm of the ys'
+    denominators and Y_j = L*y_j,
+
+        p(t) = sum_j (W/D_j) * Y_j * prod_{i != j} (t - x_i)  /  (W*L),
+
+    O(k) integer operations and one Fraction per target.  A node returns its y.
+    """
+    scaled, scale = _scaled(ys)
+    products = [math.prod(xj - xi for xi in xs if xi != xj) for xj in xs]
+    common = math.lcm(*products)
+    weights = [common // d * y for d, y in zip(products, scaled)]
+    nodes = dict(zip(xs, ys))
+    values = []
+    for t in targets:
+        if t in nodes:
+            values.append(nodes[t])
+            continue
+        ell = math.prod(t - x for x in xs)
+        total = sum(w * (ell // (t - x)) for w, x in zip(weights, xs))
+        values.append(Fraction(total, common * scale))
+    return values
 
 
 def _error_free_positions(points: Sequence[Point], k: int) -> list[int]:
@@ -163,12 +219,12 @@ def _error_free_positions(points: Sequence[Point], k: int) -> list[int]:
 
 def _decode(
     recovery_set: RecoverySet, *, search: bool = False
-) -> tuple[Polynomial, tuple[int, ...]]:
+) -> tuple[list[Fraction], tuple[int, ...]]:
     """Fit the k lowest-index blocks; with search, locate corrupted blocks.
 
-    Returns (polynomial, indices of the blocks off it).  When searching and fewer
-    than the quorum n - (n-k)//2 lie on the first fit, refits k positions that
-    Berlekamp-Welch finds error-free; AmbiguityError if that misses it too.  Two
+    Returns (the k originals, indices of the blocks off the fit).  When searching
+    and fewer than the quorum n - (n-k)//2 lie on the first fit, refits k positions
+    that Berlekamp-Welch finds error-free; AmbiguityError if that misses it too.  Two
     polynomials reaching the quorum share k blocks, so one that does is the best.
     """
     k = recovery_set.k
@@ -177,29 +233,26 @@ def _decode(
     if n < k:
         raise InsufficientBlocksError(f"need {k} blocks, have {n}")
 
-    points = [Point(Fraction(b.index), b.value) for b in blocks]
+    def fit(positions: Sequence[int]) -> tuple[list[Fraction], set[int]]:
+        """The originals, and the positions of the blocks on the fit through positions."""
+        chosen = set(positions)
+        rest = [i for i in range(n) if i not in chosen]
+        values = _interpolate_at(
+            [blocks[i].index for i in positions],
+            [blocks[i].value for i in positions],
+            [*range(k), *(blocks[i].index for i in rest)],
+        )
+        on = {i for i, v in zip(rest, values[k:]) if v == blocks[i].value}
+        return values[:k], on | chosen
 
-    def fit(positions):
-        return interpolate([points[i] for i in positions])
-
-    def agreement(p) -> frozenset[int]:
-        """Positions of the blocks whose value lies on p."""
-        return frozenset(i for i, (x, y) in enumerate(points) if evaluate(p, x) == y)
-
-    p = fit(range(k))
-    agree = agreement(p)
+    originals, agree = fit(range(k))
     quorum = n - (n - k) // 2
     if search and len(agree) < quorum:
-        p = fit(_error_free_positions(points, k)[:k])
-        agree = agreement(p)
+        points = [Point(Fraction(b.index), b.value) for b in blocks]
+        originals, agree = fit(_error_free_positions(points, k)[:k])
         if len(agree) < quorum:
             raise AmbiguityError(f"no polynomial agrees with at least {quorum} of {n} blocks")
-    return p, tuple(b.index for i, b in enumerate(blocks) if i not in agree)
-
-
-def _originals(p: Polynomial, k: int) -> list[Fraction]:
-    """The k original values: the polynomial p evaluated at 0..k-1."""
-    return evaluate_many(p, [Fraction(i) for i in range(k)])
+    return originals, tuple(b.index for i, b in enumerate(blocks) if i not in agree)
 
 
 def recover(recovery_set: RecoverySet) -> list[Fraction]:
@@ -209,12 +262,12 @@ def recover(recovery_set: RecoverySet) -> list[Fraction]:
     provided block lies on that polynomial; extra blocks that disagree raise
     InconsistentBlocksError (callers should fall back to locate_corruption).
     """
-    p, residuals = _decode(recovery_set)
+    originals, residuals = _decode(recovery_set)
     if residuals:
         raise InconsistentBlocksError(
             f"blocks at indices {list(residuals)} are off the interpolant", residuals
         )
-    return _originals(p, recovery_set.k)
+    return originals
 
 
 def verify(recovery_set: RecoverySet) -> VerifyReport:
@@ -235,5 +288,5 @@ def locate_corruption(recovery_set: RecoverySet) -> CorrectionResult:
         raise InsufficientRedundancyError(
             f"corruption location needs more than k={k} blocks, have {n}"
         )
-    p, suspects = _decode(recovery_set, search=True)
-    return CorrectionResult(recovered=tuple(_originals(p, k)), suspects=suspects)
+    originals, suspects = _decode(recovery_set, search=True)
+    return CorrectionResult(recovered=tuple(originals), suspects=suspects)

@@ -54,7 +54,6 @@ from .blocks import (
     CodedBlock,
     RecoverySet,
     _decode,
-    _originals,
     encode,
     make_block,
     original_blocks,
@@ -530,8 +529,7 @@ def recover_dataset(dataset_id: str, primary: Store, secondary: Store) -> Recove
         raise UnrecoverableError(
             f"only {len(recovery_set.blocks)} digest-valid blocks for {dataset_id!r}, need {k}"
         )
-    p, off = _decode(recovery_set, search=True)
-    values = _originals(p, k)
+    values, off = _decode(recovery_set, search=True)
     suspects.update(off)
 
     mismatched = [
@@ -559,6 +557,8 @@ def inject_fault(store: Store, fault: Fault) -> None:
         if isinstance(fault, Unreachable):
             store.flag_path.touch()
             return
+        if not _DATASET_ID_RE.match(fault.dataset_id):
+            raise BadDatasetIdError(f"bad dataset id: {fault.dataset_id!r}")
         path = store.block_path(fault.dataset_id, fault.index)
         if not path.is_file():
             raise UnknownTargetError(

@@ -3,7 +3,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lagpar import (
@@ -17,14 +17,19 @@ from lagpar import (
     InsufficientBlocksError,
     InsufficientRedundancyError,
     MixedDatasetError,
+    Point,
     RecoverySet,
+    VerifyReport,
     encode,
+    evaluate_many,
+    interpolate,
     locate_corruption,
     make_block,
     original_blocks,
     recover,
     verify,
 )
+from lagpar.blocks import _interpolate_at
 from conftest import random_values
 from oracle import eval_brute, max_agreement, solve_vandermonde
 
@@ -300,3 +305,90 @@ def test_locate_wide_at_radius():
     result = locate_corruption(RecoverySet(tuple(blocks), 10))  # n=20 = k+2e
     assert result.recovered == tuple(values)
     assert result.suspects == tuple(corrupted)
+
+
+# --- integer kernels against the oracles -----------------------------------
+
+# numerators up to 10**30 either sign, denominators up to 10**12
+WIDE = st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**12))
+BIG = F(-10**30 + 1, 10**12 - 1)
+
+
+@given(st.lists(WIDE, min_size=1, max_size=6), st.integers(min_value=0, max_value=6))
+@example([BIG], 3)
+@settings(max_examples=80, deadline=None)
+def test_property_encode_matches_oracle(values, m):
+    k = len(values)
+    coeffs = solve_vandermonde(list(enumerate(values)))
+    assert [(b.index, b.value) for b in encode(values, m, "d")] == [
+        (i, eval_brute(coeffs, i)) for i in range(k, k + m)
+    ]
+
+
+@given(st.lists(WIDE, min_size=1, max_size=64), st.integers(min_value=0, max_value=64))
+@example([F((-1) ** i * 10**30 // (i + 1), 10**12 - i) for i in range(64)], 64)
+@example([BIG], 64)
+@settings(max_examples=10, deadline=None)
+def test_property_encode_equals_coefficient_form(values, m):
+    k = len(values)
+    p = interpolate([Point(F(i), v) for i, v in enumerate(values)])
+    expected = evaluate_many(p, [F(i) for i in range(k, k + m)])
+    got = [b.value for b in encode(values, m, "d")]
+    assert [(v.numerator, v.denominator) for v in got] == [
+        (v.numerator, v.denominator) for v in expected
+    ]
+
+
+@st.composite
+def kernel_case(draw):
+    """k values, k distinct indices in 0..3k, and one index in 0..3k besides them."""
+    values = draw(st.lists(WIDE, min_size=1, max_size=7))
+    k = len(values)
+    indices = draw(st.lists(st.integers(0, 3 * k), min_size=k + 1, max_size=k + 1, unique=True))
+    return values, indices[:k], indices[k]
+
+
+@given(kernel_case())
+@example(([BIG], [3], 0))
+@settings(max_examples=80, deadline=None)
+def test_property_decode_kernel_matches_oracle(case):
+    values, indices, extra = case
+    k = len(values)
+    # the kernel through arbitrary values at arbitrary nodes, at every index 0..3k
+    coeffs = solve_vandermonde(list(zip(indices, values)))
+    assert _interpolate_at(indices, values, range(3 * k + 1)) == [
+        eval_brute(coeffs, t) for t in range(3 * k + 1)
+    ]
+    # recover and verify from a k-subset mixing originals and parity, plus one more block
+    coeffs = solve_vandermonde(list(enumerate(values)))
+    blocks = [make_block(i, eval_brute(coeffs, i), k, "d") for i in indices]
+    assert recover(RecoverySet(tuple(blocks), k)) == values
+    on = make_block(extra, eval_brute(coeffs, extra), k, "d")
+    assert recover(RecoverySet((*blocks, on), k)) == values
+    off = corrupt(on, F(1, 10**12))
+    # one wrong value moves the fit off every correct block outside it, and
+    # the fit is through the k lowest indices, so exactly the highest is off
+    report = verify(RecoverySet((*blocks, off), k))
+    assert report.residual_indices == (max(*indices, extra),)
+
+
+FAR = 10**9
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 12])
+def test_far_index_block(k):
+    values = random_values(random.Random(k), k)
+    coeffs = solve_vandermonde(list(enumerate(values)))
+    far = make_block(FAR, eval_brute(coeffs, FAR), k, "d")
+    originals = original_blocks(values, "d")
+    # on the polynomial: consistent, whether it is off the fit or one of its nodes
+    on = RecoverySet((*originals, far), k)
+    assert verify(on) == VerifyReport(consistent=True, residual_indices=())
+    assert recover(on) == values
+    assert recover(RecoverySet((*originals[1:], far), k)) == values
+    # off the polynomial: the far block alone is the residual
+    off = RecoverySet((*originals, corrupt(far)), k)
+    assert verify(off) == VerifyReport(consistent=False, residual_indices=(FAR,))
+    with pytest.raises(InconsistentBlocksError) as err:
+        recover(off)
+    assert err.value.residual_indices == (FAR,)

@@ -132,6 +132,20 @@ def test_inject_flip_requires_offset(capsys, store_pair):
     assert code == 2
 
 
+@pytest.mark.parametrize("fault", [["delete"], ["flip", "--offset", "0"]])
+def test_inject_rejects_id_outside_store(capsys, store_pair, fault):
+    flags = store_flags(store_pair)
+    run_cli(capsys, *flags, "store", "--values", "1", "--m", "1", "--id", "victim")
+    victim = store_pair[0].block_path("victim", 0)
+    before = victim.read_bytes()
+    # from inside the secondary store, ../primary/victim names the primary's dataset
+    code, out, err = run_cli(capsys, *flags, "inject", "--store", "secondary", "--fault",
+                             *fault, "--id", "../primary/victim", "--index", "0")
+    assert code == 2
+    assert out == "" and "bad dataset id" in err
+    assert victim.read_bytes() == before
+
+
 def test_identical_roots_rejected(capsys, tmp_path):
     root = str(tmp_path / "same")
     code, _, _ = run_cli(capsys, "--primary", root, "--secondary", root,

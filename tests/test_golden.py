@@ -1,7 +1,7 @@
 """Golden CLI sessions: exact stdout and exit code of every command.
 
-The README `--machine` session, both demos in both output modes and a human
-session over recover, verify and health.  Store roots in human output are
+The README `--machine` session, both demos in both output modes, a wide
+k = m = 24 encode and a human session over recover, verify and health.  Store roots in human output are
 shown as `<tmp>`.
 """
 
@@ -91,6 +91,40 @@ FORECAST = {
     ),
 }
 
+# (-1)**i * (i**3 + 7*i + 3) / (i % 7 + 1) for i in 0..23
+WIDE_VALUES = (
+    "3,-11/2,25/3,-51/4,19,-163/6,261/7,-395,571/2,-265,1073/4,-1411/5,"
+    "605/2,-2291/7,2845,-3483/2,4211/3,-5035/4,5961/5,-6995/6,8143/7,"
+    "-9411,10805/2,-12331/3"
+)
+
+WIDE_ENCODE = """\
+block index=24 role=parity value=-26265761693/2
+block index=25 role=parity value=-3579442078459/12
+block index=26 role=parity value=-42656096349865/12
+block index=27 role=parity value=-118169774764815/4
+block index=28 role=parity value=-384275091140947/2
+block index=29 role=parity value=-3122464971079343/3
+block index=30 role=parity value=-9764954132228181/2
+block index=31 role=parity value=-20366033977230701/1
+block index=32 role=parity value=-230991354127310615/3
+block index=33 role=parity value=-267664644659013915/1
+block index=34 role=parity value=-6056323776461643245/7
+block index=35 role=parity value=-10494554375555824637/4
+block index=36 role=parity value=-37591284473732098361/5
+block index=37 role=parity value=-40962230637655152315/2
+block index=38 role=parity value=-53308550383493403424/1
+block index=39 role=parity value=-133137576967458413465/1
+block index=40 role=parity value=-640449560542905814093/2
+block index=41 role=parity value=-10417511017585300365711/14
+block index=42 role=parity value=-6700454549942461770975/4
+block index=43 role=parity value=-109864174704591569929909/30
+block index=44 role=parity value=-15583690580023950754155/2
+block index=45 role=parity value=-16165533345377811203391/1
+block index=46 role=parity value=-98275774217860423153252/3
+block index=47 role=parity value=-129879750003021605101065/2
+"""
+
 PLANT = "plant parity 3"
 
 HUMAN_SESSION = [
@@ -171,6 +205,11 @@ def test_demo_carbon(capsys, machine):
 def test_demo_forecast(capsys, machine, scenario):
     argv = [*machine, "demo-forecast", "--scenario", scenario]
     assert run(capsys, argv) == FORECAST[scenario]
+
+
+def test_wide_encode_machine(capsys):
+    argv = ["--machine", "encode", "--values", WIDE_VALUES, "--m", "24", "--id", "wide"]
+    assert run(capsys, argv) == (0, WIDE_ENCODE)
 
 
 def _plant_parity_3(root):
