@@ -33,6 +33,7 @@ from .errors import (
     InsufficientBlocksError,
     InsufficientRedundancyError,
     LagparError,
+    ManifestConflictError,
     ManifestMissingError,
     MissingInputError,
     MixedDatasetError,

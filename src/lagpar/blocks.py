@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -41,7 +42,6 @@ from .errors import (
     InsufficientRedundancyError,
     MixedDatasetError,
 )
-from .poly import Point, Polynomial, evaluate
 
 DEFAULT_MAX_PARITY = 1024
 
@@ -187,8 +187,8 @@ def _interpolate_at(
     return values
 
 
-def _error_free_positions(points: Sequence[Point], k: int) -> list[int]:
-    """Berlekamp-Welch: positions of the points where the error locator E is nonzero.
+def _error_free_positions(xs: Sequence[int], ys: Sequence[Fraction], k: int) -> list[int]:
+    """Berlekamp-Welch: positions of the points (xs, ys) where the error locator E is nonzero.
 
     With e = (n-k)//2, solves Q(x_i) = y_i*E(x_i) (deg Q < e+k, E monic of degree
     e) by Gauss-Jordan elimination, free unknowns zero.  If a P of degree < k is
@@ -196,10 +196,11 @@ def _error_free_positions(points: Sequence[Point], k: int) -> list[int]:
     >= n-e points where E is nonzero.  Without such a P the system may have no
     solution; it is read as if solved, and the caller's refit finds no quorum.
     """
-    n, e = len(points), (len(points) - k) // 2
-    # columns: Q's e+k coefficients, E's lower e, then the right-hand side y*x**e
-    rows = [[x**j for j in range(e + k)] + [-y * x**j for j in range(e)] + [y * x**e]
-            for x, y in points]
+    n, e = len(xs), (len(xs) - k) // 2
+    # columns: Q's e+k coefficients, E's lower e, then the right-hand side y*x**e;
+    # all Fractions, so the pivot division stays exact
+    rows = [[Fraction(x**j) for j in range(e + k)] + [-y * x**j for j in range(e)] + [y * x**e]
+            for x, y in zip(xs, ys)]
     pivots: list[int] = []
     for col in range(2 * e + k):
         r = len(pivots)
@@ -213,8 +214,9 @@ def _error_free_positions(points: Sequence[Point], k: int) -> list[int]:
                 row[col:] = [a - row[col] * b for a, b in zip(row[col:], rows[r][col:])]
         pivots.append(col)
     solved = {col: row[-1] for col, row in zip(pivots, rows)}
-    locator = Polynomial([solved.get(col, 0) for col in range(e + k, 2 * e + k)] + [1])
-    return [i for i, point in enumerate(points) if evaluate(locator, point.x)]
+    # E's coefficients, highest degree first, evaluated by Horner's rule
+    locator = [1, *(solved.get(col, 0) for col in reversed(range(e + k, 2 * e + k)))]
+    return [i for i, x in enumerate(xs) if reduce(lambda acc, c: acc * x + c, locator, 0)]
 
 
 def _decode(
@@ -248,8 +250,8 @@ def _decode(
     originals, agree = fit(range(k))
     quorum = n - (n - k) // 2
     if search and len(agree) < quorum:
-        points = [Point(Fraction(b.index), b.value) for b in blocks]
-        originals, agree = fit(_error_free_positions(points, k)[:k])
+        xs, ys = [b.index for b in blocks], [b.value for b in blocks]
+        originals, agree = fit(_error_free_positions(xs, ys, k)[:k])
         if len(agree) < quorum:
             raise AmbiguityError(f"no polynomial agrees with at least {quorum} of {n} blocks")
     return originals, tuple(b.index for i, b in enumerate(blocks) if i not in agree)

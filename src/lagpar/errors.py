@@ -82,7 +82,11 @@ class InconsistentBlocksError(RecoveryError):
 
 
 class ManifestMissingError(RecoveryError):
-    """No reachable store holds a manifest for the dataset."""
+    """No reachable store holds a readable manifest for the dataset."""
+
+
+class ManifestConflictError(RecoveryError):
+    """The two manifest replicas are both readable and differ."""
 
 
 class UnrecoverableError(RecoveryError):

@@ -4,28 +4,33 @@ A store is a directory.  Each dataset lives in its own subdirectory holding
 one file per block plus a manifest (all UTF-8, LF line endings, bit-exact):
 
     <root>/<dataset_id>/block_<index>.plyd
-        PLYD1
-        dataset=<id> k=<int> m=<int>
+        PLYD2
         block index=<int> role=<original|parity> value=<num>/<den>
 
     <root>/<dataset_id>/manifest.plym
-        PLYM1
+        PLYM2
+        dataset=<id> k=<int> m=<int>
         digest index=<int> sha256=<64 hex>      (one line per block, ascending)
         created=<YYYY-MM-DDTHH:MM:SSZ>            (zero-padded UTC)
+        sha256=<64 hex>                           (the seal: SHA-256 of every byte above)
 
     <root>/.unreachable                          (fault flag honored everywhere)
 
-A block's digest is the SHA-256 of its canonical block line (the third line
-of the block file, without the newline).  The framing lines are protected by
-strict parsing instead: the dataset must match the directory, the index must
-match the filename, the role must match the threshold, and k+m must equal
-the manifest's digest count, so any single-byte change to a block file is
-detected either by the digest or by a framing check.
+Each fact lives in one place.  The manifest alone holds k and m; the
+dataset id is also the directory name, and a block's index is also its
+file name, which its block line must repeat.  A block's digest, in the
+manifest, is the SHA-256 of its block line, and its role must match the
+manifest's k.  The seal covers the rest of the manifest, so a changed byte
+makes a manifest unreadable and a block file invalid.  Stores in the older
+PLYM1/PLYD1 format are not read: their manifests are unreadable.
 
-Each format has one reader: _checked_block for block files, _read_manifest
-for manifests.  _scan reads a dataset directory once against a digest map;
-health_check flags what it rejects, and recover gathers its valid blocks
-from both stores.
+Each format has one reader: _checked_block for block files, _parse_manifest
+for manifests.  Of the two manifest replicas, identical bytes are parsed
+once; otherwise an unreadable replica gives way to the other, and two
+readable replicas that differ raise ManifestConflictError.  _scan reads a
+dataset directory once against the manifest; health_check flags what it
+rejects, and recover gathers its valid blocks, from the primary alone when
+the primary is intact.
 
 Originals are written to the primary store, parity blocks to the secondary,
 and the manifest to both; the manifest is written last, after every block,
@@ -40,7 +45,6 @@ import fcntl
 import hashlib
 import os
 import re
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -63,6 +67,7 @@ from .errors import (
     BadRationalError,
     DuplicateDatasetError,
     InputError,
+    ManifestConflictError,
     ManifestMissingError,
     StoreLockedError,
     StoreUnreachableError,
@@ -73,14 +78,14 @@ from .errors import (
 )
 from .rationals import format_rational, parse_rational
 
-BLOCK_MAGIC = "PLYD1"
-MANIFEST_MAGIC = "PLYM1"
+BLOCK_MAGIC = "PLYD2"
+MANIFEST_MAGIC = "PLYM2"
 MANIFEST_NAME = "manifest.plym"
 CREATED_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 
 _DATASET_ID_RE = re.compile(r"[A-Za-z0-9_-]{1,64}\Z")
 _INT = r"(?:0|[1-9][0-9]*)"
-_META_RE = re.compile(rf"dataset=([A-Za-z0-9_-]{{1,64}}) k=({_INT}) m=({_INT})\Z")
+_HEAD_RE = re.compile(rf"dataset=(\S+) k=({_INT}) m=({_INT})\Z")
 _BLOCK_LINE_RE = re.compile(rf"block index=({_INT}) role=(original|parity) value=([^ ]+)\Z")
 _BLOCK_FILENAME_RE = re.compile(rf"block_({_INT})\.plyd\Z")
 _DIGEST_LINE_RE = re.compile(rf"digest index=({_INT}) sha256=([0-9a-f]{{64}})\Z")
@@ -118,7 +123,7 @@ class Store:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    """Per-dataset integrity contract: threshold, parity count, block digests."""
+    """A dataset's manifest: threshold, parity count, block digests, as written and as read."""
 
     dataset_id: str
     k: int
@@ -181,20 +186,17 @@ def block_digest(block: CodedBlock) -> str:
     return hashlib.sha256(block_line(block).encode("utf-8")).hexdigest()
 
 
-def render_block_file(block: CodedBlock, m: int) -> str:
-    return (
-        f"{BLOCK_MAGIC}\n"
-        f"dataset={block.dataset_id} k={block.k} m={m}\n"
-        f"{block_line(block)}\n"
-    )
+def render_block_file(block: CodedBlock) -> str:
+    return f"{BLOCK_MAGIC}\n{block_line(block)}\n"
 
 
 def render_manifest(manifest: DatasetManifest) -> str:
-    lines = [MANIFEST_MAGIC]
+    lines = [MANIFEST_MAGIC, f"dataset={manifest.dataset_id} k={manifest.k} m={manifest.m}"]
     for index in sorted(manifest.block_digests):
         lines.append(f"digest index={index} sha256={manifest.block_digests[index]}")
     lines.append(f"created={manifest.created_at}")
-    return "\n".join(lines) + "\n"
+    body = "\n".join(lines) + "\n"
+    return f"{body}sha256={hashlib.sha256(body.encode('utf-8')).hexdigest()}\n"
 
 
 def parse_kv_line(line: str) -> tuple[str, dict[str, str]]:
@@ -268,71 +270,71 @@ def _is_reachable(store: Store) -> bool:
     return store.root.is_dir() and not store.flag_path.exists()
 
 
-def _read_manifest(store: Store, dataset_id: str) -> dict[int, str] | None:
-    """Digest map from the store's manifest, or None if absent or malformed."""
+def _read(path: Path) -> bytes | None:
     try:
-        parts = store.manifest_path(dataset_id).read_bytes().decode("utf-8").split("\n")
-    except (OSError, UnicodeDecodeError):
+        return path.read_bytes()
+    except OSError:
         return None
-    if len(parts) < 4 or parts[0] != MANIFEST_MAGIC or parts[-1] != "":
+
+
+def _parse_manifest(data: bytes | None, dataset_id: str) -> DatasetManifest | None:
+    """The manifest in data, or None if absent, unsealed, malformed or another dataset's."""
+    body, _, seal = (data or b"").rpartition(b"sha256=")
+    if seal != f"{hashlib.sha256(body).hexdigest()}\n".encode("ascii"):
         return None
+    parts = body.decode("utf-8", errors="replace").split("\n")  # every field is ASCII-checked
+    head = _HEAD_RE.match(parts[1]) if len(parts) > 4 and parts[0] == MANIFEST_MAGIC else None
+    if head is None or head.group(1) != dataset_id or parts[-1] != "":
+        return None
+    k, m = int(head.group(2)), int(head.group(3))
     tag, _, created = parts[-2].partition("=")
-    if tag != "created" or not _valid_created(created):
+    if k < 1 or len(parts) != k + m + 4 or tag != "created" or not _valid_created(created):
         return None
     digests: dict[int, str] = {}
-    for position, line in enumerate(parts[1:-2]):
+    for position, line in enumerate(parts[2:-2]):
         match = _DIGEST_LINE_RE.match(line)
         if match is None or int(match.group(1)) != position:
             return None
         digests[position] = match.group(2)
-    return digests
+    return DatasetManifest(dataset_id, k, m, digests, created)
 
 
-def _checked_block(
-    path: Path, dataset_id: str, index: int, digests: Mapping[int, str]
-) -> CodedBlock | None:
+def _checked_block(path: Path, index: int, manifest: DatasetManifest) -> CodedBlock | None:
     """Parse and validate a block file; None means erasure-grade invalid.
 
-    Valid means: exactly three LF-terminated lines in the strict format, the
-    dataset matches the directory, the index matches the filename, k+m
-    matches the manifest's digest count, and the canonical line hashes to the
-    manifest's digest for this index.
+    Valid means: exactly two LF-terminated lines in the strict format, the
+    index matches the filename, the role matches the manifest's k, and the
+    block line hashes to the manifest's digest for this index.
     """
     try:
         parts = path.read_bytes().decode("utf-8").split("\n")
     except (OSError, UnicodeDecodeError):
         return None
-    if len(parts) != 4 or parts[0] != BLOCK_MAGIC or parts[3] != "":
+    if len(parts) != 3 or parts[0] != BLOCK_MAGIC or parts[2] != "":
         return None
-    meta = _META_RE.match(parts[1])
-    body = _BLOCK_LINE_RE.match(parts[2])
-    if meta is None or body is None:
+    body = _BLOCK_LINE_RE.match(parts[1])
+    if body is None:
         return None
-    block_dataset, k_text, m_text = meta.groups()
     index_text, role_text, value_text = body.groups()
     try:
         block = CodedBlock(
             index=int(index_text),
             value=parse_rational(value_text),
             role=BlockRole(role_text),
-            k=int(k_text),
-            dataset_id=block_dataset,
+            k=manifest.k,
+            dataset_id=manifest.dataset_id,
         )
     except (BadRationalError, ValueError):
         return None
-    if block.dataset_id != dataset_id or block.index != index:
-        return None
-    if block.k + int(m_text) != len(digests):
-        return None
-    if block_digest(block) != digests.get(index):
+    if block.index != index or block_digest(block) != manifest.block_digests[index]:
         return None
     return block
 
 
 def _scan(
-    store: Store, dataset_id: str, digests: Mapping[int, str]
+    store: Store, manifest: DatasetManifest
 ) -> tuple[dict[int, CodedBlock], list[tuple[Path, int | None]]]:
-    """Check each file of a dataset directory once against a digest map.
+    """Check each file of a dataset directory once against its manifest.
 
     Returns the valid blocks by index, and every other file (the manifest
     and dot-files aside) with the block index its name gives, or None if its
@@ -341,7 +343,8 @@ def _scan(
     """
     valid: dict[int, CodedBlock] = {}
     others: list[tuple[Path, int | None]] = []
-    directory = store.dataset_dir(dataset_id)
+    digests = manifest.block_digests
+    directory = store.dataset_dir(manifest.dataset_id)
     if not directory.is_dir():
         return valid, others
     for path in sorted(directory.iterdir(), key=lambda p: p.name):
@@ -350,7 +353,7 @@ def _scan(
             continue
         match = _BLOCK_FILENAME_RE.match(name)
         index = int(match.group(1)) if match else None
-        block = _checked_block(path, dataset_id, index, digests) if index in digests else None
+        block = _checked_block(path, index, manifest) if index in digests else None
         if block is None:
             others.append((path, index))
         else:
@@ -404,10 +407,10 @@ def store_dataset(
             if store.manifest_path(dataset_id).exists():
                 raise DuplicateDatasetError(f"dataset {dataset_id!r} already in {name} store")
         for block in originals:
-            _atomic_write(primary.block_path(dataset_id, block.index), render_block_file(block, m))
+            _atomic_write(primary.block_path(dataset_id, block.index), render_block_file(block))
             hook(f"primary:block:{block.index}")
         for block in parity:
-            _atomic_write(secondary.block_path(dataset_id, block.index), render_block_file(block, m))
+            _atomic_write(secondary.block_path(dataset_id, block.index), render_block_file(block))
             hook(f"secondary:block:{block.index}")
         manifest_text = render_manifest(manifest)
         _atomic_write(primary.manifest_path(dataset_id), manifest_text)
@@ -420,10 +423,10 @@ def store_dataset(
 def health_check(store: Store) -> StoreStatus:
     """Inspect a store: reachability, datasets present, digest-invalid files.
 
-    Never raises.  A dataset is present iff its manifest file exists; block
-    files are checked against the manifest and flagged when they fail any
-    format, framing, or digest check.  Missing blocks are erasures, not
-    corruption, and are not flagged.
+    Never raises.  A dataset is present iff its manifest file exists; an
+    unreadable manifest is flagged, and otherwise block files are checked
+    against it and flagged when they fail any format, index, role or digest
+    check.  Missing blocks are erasures, not corruption, and are not flagged.
     """
     if not _is_reachable(store):
         return StoreStatus(reachable=False, datasets_present=(), corrupt_files=())
@@ -436,11 +439,11 @@ def health_check(store: Store) -> StoreStatus:
         if not manifest_path.is_file():
             continue
         datasets.append(directory.name)
-        digests = _read_manifest(store, directory.name)
-        if digests is None:
+        manifest = _parse_manifest(_read(manifest_path), directory.name)
+        if manifest is None:
             corrupt.append(manifest_path)
             continue
-        _, others = _scan(store, directory.name, digests)
+        _, others = _scan(store, manifest)
         corrupt.extend(path for path, _ in others)
     return StoreStatus(
         reachable=True, datasets_present=tuple(datasets), corrupt_files=tuple(corrupt)
@@ -449,92 +452,82 @@ def health_check(store: Store) -> StoreStatus:
 
 @dataclass(frozen=True)
 class _Gathered:
-    digests: dict[int, str]
-    recovery_set: RecoverySet  # every digest-valid block, ascending by index
+    manifest: DatasetManifest
+    valid: dict[int, CodedBlock]  # every valid block by index; the primary's copy wins
     suspects: set[int]
-    primary_intact: bool  # primary manifest and all k originals valid in primary
+    primary_intact: bool  # primary manifest replica readable and all k originals valid in primary
 
 
-def _gather(dataset_id: str, primary: Store, secondary: Store) -> _Gathered:
-    """Collect every digest-valid block of a dataset from both stores.
+def _gather(dataset_id: str, primary: Store, secondary: Store, *, lazy: bool) -> _Gathered:
+    """Read the dataset's manifest, then its valid blocks, primary first.
 
+    The manifest replicas are read as bytes.  Identical bytes are parsed
+    once; otherwise an unreadable replica gives way to the other, and two
+    readable replicas that differ raise ManifestConflictError.  With lazy,
+    an intact primary ends the gathering and the secondary is not scanned.
     Present-but-invalid block files become suspects and are discarded as
-    erasures; files whose index has no digest are ignored.  The threshold k is adopted by majority vote over the valid
-    blocks' own metadata (its sum with m is pinned to the manifest's digest
-    count per block); dissenting blocks are demoted to suspects.
+    erasures; files whose index has no digest are ignored.
     """
     if not _DATASET_ID_RE.match(dataset_id):
         raise BadDatasetIdError(f"bad dataset id: {dataset_id!r}")
-    named = (("primary", primary), ("secondary", secondary))
-    reachable = {name: _is_reachable(store) for name, store in named}
-    raw = {
-        name: _read_manifest(store, dataset_id) if reachable[name] else None
-        for name, store in named
-    }
-    digests = raw["primary"] if raw["primary"] is not None else raw["secondary"]
-    if digests is None:
-        raise ManifestMissingError(f"no reachable store has a manifest for {dataset_id!r}")
+    stores = [store if _is_reachable(store) else None for store in (primary, secondary)]
+    raw = [store and _read(store.manifest_path(dataset_id)) for store in stores]
+    own = _parse_manifest(raw[0], dataset_id)
+    other = own if raw[1] == raw[0] else _parse_manifest(raw[1], dataset_id)
+    if own is None and other is None:
+        raise ManifestMissingError(f"no reachable store has a readable manifest for {dataset_id!r}")
+    if own is not None and other is not None and own != other:
+        raise ManifestConflictError(f"the two manifest replicas of {dataset_id!r} differ")
+    manifest = own or other
 
-    scans = {
-        name: _scan(store, dataset_id, digests) if reachable[name] else ({}, [])
-        for name, store in named
-    }
-    primary_valid = scans["primary"][0]
-    valid = {**scans["secondary"][0], **primary_valid}
-    suspects = {i for _, others in scans.values() for _, i in others if i in digests}
-    if not valid:
-        raise UnrecoverableError(f"no digest-valid blocks for {dataset_id!r}")
+    def scan(store: Store | None) -> tuple[dict[int, CodedBlock], set[int]]:
+        if store is None:
+            return {}, set()
+        found, others = _scan(store, manifest)
+        return found, {i for _, i in others if i in manifest.block_digests}
 
-    votes = Counter(block.k for block in valid.values())
-    k = max(votes, key=lambda kk: (votes[kk], -kk))
-    for index in [i for i, b in valid.items() if b.k != k]:
-        suspects.add(index)
-        del valid[index]
-    primary_intact = raw["primary"] is not None and all(
-        i in primary_valid and i in valid for i in range(k)
-    )
-    return _Gathered(
-        digests=dict(digests),
-        recovery_set=RecoverySet(tuple(valid[i] for i in sorted(valid)), k),
-        suspects=suspects,
-        primary_intact=primary_intact,
-    )
+    valid, suspects = scan(stores[0])
+    primary_intact = own is not None and all(i in valid for i in range(manifest.k))
+    if not (lazy and primary_intact):
+        found, more = scan(stores[1])
+        valid, suspects = {**found, **valid}, suspects | more
+    return _Gathered(manifest, valid, suspects, primary_intact)
 
 
 def collect_recovery_set(dataset_id: str, primary: Store, secondary: Store) -> RecoverySet:
     """All digest-valid blocks of a dataset across both stores, as one set."""
-    return _gather(dataset_id, primary, secondary).recovery_set
+    gathered = _gather(dataset_id, primary, secondary, lazy=False)
+    valid = gathered.valid
+    return RecoverySet(tuple(valid[i] for i in sorted(valid)), gathered.manifest.k)
 
 
 def recover_dataset(dataset_id: str, primary: Store, secondary: Store) -> RecoveryResult:
     """Return the dataset's values, reconstructing from parity when needed.
 
-    Step 1: with a healthy primary whose originals all pass their digests,
-    return them as-is.  Step 2: otherwise gather every digest-valid block
+    Step 1: with a primary whose manifest replica is readable and whose
+    originals all pass their digests, return them as-is; the secondary's
+    blocks are not read.  Step 2: otherwise gather every digest-valid block
     from both stores (invalid-but-present files become suspects and are
     discarded as erasures).  Step 3: decode them once, with the corruption
     search on, so surplus blocks that disagree become suspects.  Step 4:
     recompute the reconstructed originals' digests against the manifest;
     any mismatch raises ValidationFailedError.
     """
-    gathered = _gather(dataset_id, primary, secondary)
-    recovery_set, suspects = gathered.recovery_set, gathered.suspects
-    k = recovery_set.k
+    gathered = _gather(dataset_id, primary, secondary, lazy=True)
+    valid, suspects, k = gathered.valid, gathered.suspects, gathered.manifest.k
 
     if gathered.primary_intact:
-        originals = tuple(b.value for b in recovery_set.blocks[:k])
+        originals = tuple(valid[i].value for i in range(k))
         return RecoveryResult(values=originals, provenance=Provenance.PRIMARY, suspects=())
 
-    if len(recovery_set.blocks) < k:
-        raise UnrecoverableError(
-            f"only {len(recovery_set.blocks)} digest-valid blocks for {dataset_id!r}, need {k}"
-        )
-    values, off = _decode(recovery_set, search=True)
+    if len(valid) < k:
+        raise UnrecoverableError(f"only {len(valid)} valid blocks for {dataset_id!r}, need {k}")
+    values, off = _decode(RecoverySet(tuple(valid.values()), k), search=True)
     suspects.update(off)
 
+    digests = gathered.manifest.block_digests
     mismatched = [
-        i for i in range(k)
-        if block_digest(make_block(i, values[i], k, dataset_id)) != gathered.digests.get(i)
+        i for i in range(k) if block_digest(make_block(i, values[i], k, dataset_id)) != digests[i]
     ]
     if mismatched:
         suspects.update(mismatched)

@@ -1,16 +1,19 @@
 """Golden CLI sessions: exact stdout and exit code of every command.
 
 The README `--machine` session, both demos in both output modes, a wide
-k = m = 24 encode and a human session over recover, verify and health.  Store roots in human output are
+k = m = 24 encode, a human session over recover, verify and health, and a
+store in the old PLYM1/PLYD1 format.  Store roots in human output are
 shown as `<tmp>`.
 """
 
+import hashlib
 from fractions import Fraction
 
 import pytest
 
 from lagpar import block_digest, make_block, render_block_file
 from lagpar.cli import main
+from conftest import rewrite_manifest
 
 README_SESSION = [
     (
@@ -184,6 +187,27 @@ HUMAN_SESSION = [
 ]
 
 
+OLD_FORMAT_SESSION = [
+    (["--machine", "recover", "--id", "demo"], 3, ""),
+    (["recover", "--id", "demo"], 3, ""),
+    (["--machine", "verify", "--id", "demo"], 3, ""),
+    (
+        ["--machine", "health"],
+        0,
+        "health store=primary reachable=true datasets=demo corrupt=demo/manifest.plym\n"
+        "health store=secondary reachable=true datasets=demo corrupt=demo/manifest.plym\n",
+    ),
+    (
+        ["health"],
+        0,
+        "primary store at <tmp>/primary: reachable, datasets [demo], "
+        "corrupt files [demo/manifest.plym]\n"
+        "secondary store at <tmp>/secondary: reachable, datasets [demo], "
+        "corrupt files [demo/manifest.plym]\n",
+    ),
+]
+
+
 def run(capsys, argv):
     code = main(argv)
     return code, capsys.readouterr().out
@@ -215,12 +239,9 @@ def test_wide_encode_machine(capsys):
 def _plant_parity_3(root):
     """Rewrite parity block 3 of `demo` as 99, with a matching digest in both manifests."""
     evil = make_block(3, Fraction(99), 3, "demo")
-    (root / "secondary" / "demo" / "block_3.plyd").write_text(render_block_file(evil, 3))
+    (root / "secondary" / "demo" / "block_3.plyd").write_text(render_block_file(evil))
     for side in ("primary", "secondary"):
-        path = root / side / "demo" / "manifest.plym"
-        lines = path.read_text().splitlines()
-        lines[4] = f"digest index=3 sha256={block_digest(evil)}"
-        path.write_text("\n".join(lines) + "\n")
+        rewrite_manifest(root / side / "demo" / "manifest.plym", digests={3: block_digest(evil)})
 
 
 def test_human_session(tmp_path, capsys):
@@ -230,5 +251,31 @@ def test_human_session(tmp_path, capsys):
             _plant_parity_3(tmp_path)
             continue
         argv, code, out = step
+        got_code, got_out = run(capsys, [*roots, *argv])
+        assert (got_code, got_out.replace(str(tmp_path), "<tmp>")) == (code, out), argv
+
+
+def _write_old_format_store(root):
+    """`2,3,5` with m=1 as stores wrote it before the manifest held k and m."""
+    lines = [
+        f"block index={i} role={'original' if i < 3 else 'parity'} value={v}/1"
+        for i, v in enumerate((2, 3, 5, 8))
+    ]
+    manifest = "PLYM1\n" + "".join(
+        f"digest index={i} sha256={hashlib.sha256(line.encode()).hexdigest()}\n"
+        for i, line in enumerate(lines)
+    ) + "created=2026-01-01T00:00:00Z\n"
+    for side, indices in (("primary", range(3)), ("secondary", [3])):
+        directory = root / side / "demo"
+        directory.mkdir(parents=True)
+        for i in indices:
+            (directory / f"block_{i}.plyd").write_text(f"PLYD1\ndataset=demo k=3 m=1\n{lines[i]}\n")
+        (directory / "manifest.plym").write_text(manifest)
+
+
+def test_old_format_store_is_not_read(tmp_path, capsys):
+    _write_old_format_store(tmp_path)
+    roots = ["--primary", str(tmp_path / "primary"), "--secondary", str(tmp_path / "secondary")]
+    for argv, code, out in OLD_FORMAT_SESSION:
         got_code, got_out = run(capsys, [*roots, *argv])
         assert (got_code, got_out.replace(str(tmp_path), "<tmp>")) == (code, out), argv

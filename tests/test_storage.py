@@ -3,6 +3,7 @@ import os
 import random
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +14,7 @@ from lagpar import (
     DuplicateDatasetError,
     FlipByte,
     InputError,
+    ManifestConflictError,
     ManifestMissingError,
     Provenance,
     Store,
@@ -34,7 +36,7 @@ from lagpar import (
     verify,
 )
 from lagpar.cli import main
-from conftest import random_values
+from conftest import random_values, rewrite_manifest
 
 F = Fraction
 
@@ -78,7 +80,7 @@ def test_block_file_is_bit_exact(store_pair):
     primary, secondary = store_pair
     store_carbon(primary, secondary)
     text = primary.block_path("carbon", 0).read_text()
-    assert text == "PLYD1\ndataset=carbon k=4 m=2\nblock index=0 role=original value=300/1\n"
+    assert text == "PLYD2\nblock index=0 role=original value=300/1\n"
 
 
 def test_store_duplicate_dataset_rejected(store_pair):
@@ -200,7 +202,7 @@ def test_stray_block_and_flipped_block_in_both_views(store_pair):
     primary, secondary = store_pair
     store_carbon(primary, secondary)
     stray = secondary.block_path("carbon", 6)
-    stray.write_text(render_block_file(make_block(6, F(1), 4, "carbon"), 2))
+    stray.write_text(render_block_file(make_block(6, F(1), 4, "carbon")))
     inject_fault(primary, FlipByte("carbon", 1, 10))
     assert health_check(primary).corrupt_files == (primary.block_path("carbon", 1),)
     assert health_check(secondary).corrupt_files == (stray,)
@@ -262,7 +264,7 @@ def test_recover_flipped_parity_becomes_suspect(store_pair):
     primary, secondary = store_pair
     store_dataset([F(2), F(3)], 3, "pair", primary, secondary, created_at=TS)
     inject_fault(primary, DeleteBlock("pair", 0))
-    inject_fault(secondary, FlipByte("pair", 3, 50))
+    inject_fault(secondary, FlipByte("pair", 3, 29))
     result = recover_dataset("pair", primary, secondary)
     assert result.provenance is Provenance.RECONSTRUCTED
     assert result.values == (F(2), F(3))
@@ -288,12 +290,7 @@ def test_recover_uses_secondary_manifest_when_primary_lost(store_pair):
 
 
 def _swap_manifest_digest(store, dataset_id, index, new_digest):
-    path = store.manifest_path(dataset_id)
-    lines = path.read_text().splitlines()
-    for i, line in enumerate(lines):
-        if line.startswith(f"digest index={index} "):
-            lines[i] = f"digest index={index} sha256={new_digest}"
-    path.write_text("\n".join(lines) + "\n")
+    rewrite_manifest(store.manifest_path(dataset_id), digests={index: new_digest})
 
 
 def test_recover_step4_validation_failure(store_pair):
@@ -314,7 +311,7 @@ def test_recover_falls_back_to_corruption_location(store_pair):
     store_dataset([F(0), F(1)], 3, "line", primary, secondary, created_at=TS)
     evil = make_block(2, F(99), 2, "line")
     path = secondary.block_path("line", 2)
-    path.write_text("PLYD1\ndataset=line k=2 m=3\nblock index=2 role=parity value=99/1\n")
+    path.write_text("PLYD2\nblock index=2 role=parity value=99/1\n")
     for store in (primary, secondary):
         _swap_manifest_digest(store, "line", 2, block_digest(evil))
     inject_fault(primary, DeleteBlock("line", 0))  # defeat the pristine-primary path
@@ -324,9 +321,9 @@ def test_recover_falls_back_to_corruption_location(store_pair):
     assert result.suspects == (2,)
 
 
-def _plant_parity(primary, secondary, dataset_id, block, m):
+def _plant_parity(primary, secondary, dataset_id, block):
     """Overwrite a parity block with a digest-valid but wrong value."""
-    secondary.block_path(dataset_id, block.index).write_text(render_block_file(block, m))
+    secondary.block_path(dataset_id, block.index).write_text(render_block_file(block))
     for store in (primary, secondary):
         _swap_manifest_digest(store, dataset_id, block.index, block_digest(block))
 
@@ -336,7 +333,7 @@ def test_recover_ambiguity_end_to_end(store_pair, capsys):
     primary, secondary = store_pair
     store_dataset([F(0), F(1)], 2, "line", primary, secondary, created_at=TS)
     inject_fault(primary, DeleteBlock("line", 0))
-    _plant_parity(primary, secondary, "line", make_block(2, F(99), 2, "line"), 2)
+    _plant_parity(primary, secondary, "line", make_block(2, F(99), 2, "line"))
     with pytest.raises(AmbiguityError):
         recover_dataset("line", primary, secondary)
     flags = ["--primary", str(primary.root), "--secondary", str(secondary.root)]
@@ -362,13 +359,112 @@ def test_recover_search_cap_when_inconsistent(store_pair, capsys):
     values = random_values(random.Random(19), 10)
     store_dataset(values, 10, "wide", primary, secondary, created_at=TS)
     inject_fault(primary, DeleteBlock("wide", 4))
-    _plant_parity(primary, secondary, "wide", make_block(12, F(7, 3), 10, "wide"), 10)
+    _plant_parity(primary, secondary, "wide", make_block(12, F(7, 3), 10, "wide"))
     result = recover_dataset("wide", primary, secondary)
     assert result.values == tuple(values)
     assert result.suspects == (12,)
     flags = ["--primary", str(primary.root), "--secondary", str(secondary.root)]
     assert main(["--machine", *flags, "recover", "--id", "wide"]) == 0
     assert "suspects=12\n" in capsys.readouterr().out
+
+
+def test_healthy_recover_reads_only_the_primary_and_manifests(store_pair, monkeypatch):
+    primary, secondary = store_pair
+    values = random_values(random.Random(24), 24)
+    store_dataset(values, 24, "wide", primary, secondary, created_at=TS)
+    read, listed = [], []
+    read_bytes, iterdir = Path.read_bytes, Path.iterdir
+    monkeypatch.setattr(Path, "read_bytes", lambda path: read.append(path) or read_bytes(path))
+    monkeypatch.setattr(Path, "iterdir", lambda path: listed.append(path) or iterdir(path))
+    result = recover_dataset("wide", primary, secondary)
+    assert result.provenance is Provenance.PRIMARY and result.values == tuple(values)
+    assert sorted(read) == sorted(
+        [primary.manifest_path("wide"), secondary.manifest_path("wide")]
+        + [primary.block_path("wide", i) for i in range(24)]
+    )
+    assert listed == [primary.dataset_dir("wide")]
+
+
+# --- the manifest is the authority on k and m -------------------------------
+
+
+DEMO = (F(2), F(3), F(5))
+
+
+def _forge_old_framing(store, index):
+    """Rewrite a block file in the old format, claiming k=2 m=2 around its own block line."""
+    path = store.block_path("demo", index)
+    line = path.read_text().splitlines()[-1]
+    path.write_text(f"PLYD1\ndataset=demo k=2 m=2\n{line}\n")
+
+
+def test_forged_framing_cannot_lower_k(store_pair):
+    # two of four blocks claiming k=2 once tied a vote over block headers and
+    # returned (2, 3); k now comes from the manifest, and 2 valid blocks < k=3
+    primary, secondary = store_pair
+    store_dataset(DEMO, 1, "demo", primary, secondary, created_at=TS)
+    for index in (0, 1):
+        _forge_old_framing(primary, index)
+    with pytest.raises(UnrecoverableError):
+        recover_dataset("demo", primary, secondary)
+    forged = (primary.block_path("demo", 0), primary.block_path("demo", 1))
+    assert health_check(primary).corrupt_files == forged
+
+
+def test_forged_framing_with_spare_parity(store_pair):
+    primary, secondary = store_pair
+    store_dataset(DEMO, 2, "demo", primary, secondary, created_at=TS)
+    for index in (0, 1):
+        _forge_old_framing(primary, index)
+    result = recover_dataset("demo", primary, secondary)
+    assert result.values == DEMO
+    assert result.suspects == (0, 1)
+    forged = (primary.block_path("demo", 0), primary.block_path("demo", 1))
+    assert health_check(primary).corrupt_files == forged
+
+
+def test_conflicting_manifest_replicas(store_pair, capsys):
+    primary, secondary = store_pair
+    store_dataset(DEMO, 1, "demo", primary, secondary, created_at=TS)
+    rewrite_manifest(secondary.manifest_path("demo"), k=2, m=2)  # sealed, readable
+    with pytest.raises(ManifestConflictError):
+        recover_dataset("demo", primary, secondary)
+    with pytest.raises(ManifestConflictError):
+        collect_recovery_set("demo", primary, secondary)
+    flags = ["--primary", str(primary.root), "--secondary", str(secondary.root)]
+    assert main(["--machine", *flags, "recover", "--id", "demo"]) == 3
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("damaged", ["primary", "secondary"])
+def test_damaged_manifest_replica_gives_way(store_pair, damaged):
+    primary, secondary = store_pair
+    store_dataset(DEMO, 1, "demo", primary, secondary, created_at=TS)
+    store = primary if damaged == "primary" else secondary
+    path = store.manifest_path("demo")
+    path.write_text(path.read_text().replace("k=3 m=1", "k=2 m=2"))  # seal not renewed
+    result = recover_dataset("demo", primary, secondary)
+    assert result.values == DEMO
+    assert health_check(store).corrupt_files == (path,)
+
+
+def test_every_bit_flip_recovers_exactly_and_is_flagged(store_pair):
+    # one flip at a time, of bit 0x01, 0x02 or 0x20, at every offset of every file
+    primary, secondary = store_pair
+    store_dataset(DEMO, 2, "demo", primary, secondary, created_at=TS)
+    files = [(store, path) for store in store_pair for path in store.dataset_dir("demo").iterdir()]
+    assert len(files) == 7
+    for store, path in files:
+        pristine = path.read_bytes()
+        for offset in range(len(pristine)):
+            for bit in (0x01, 0x02, 0x20):
+                flipped = bytearray(pristine)
+                flipped[offset] ^= bit
+                path.write_bytes(bytes(flipped))
+                where = f"bit {bit:#04x} at byte {offset} of {path.name} in {store.root.name}"
+                assert recover_dataset("demo", primary, secondary).values == DEMO, where
+                assert path in health_check(store).corrupt_files, where
+        path.write_bytes(pristine)
 
 
 def test_collect_recovery_set_feeds_verify(store_pair):
