@@ -12,6 +12,7 @@ failure, 4 ambiguous corruption location.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import tempfile
@@ -318,10 +319,15 @@ def _glue_values(argv: list[str]) -> list[str]:
     return glued
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` shares across calls; parsing leaves no state on it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
+        args = _parser().parse_args(_glue_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -241,8 +241,11 @@ def _valid_created(ts: str) -> bool:
 @contextmanager
 def _write_lock(store: Store) -> Iterator[None]:
     """Advisory one-writer-per-store lock (flock on <root>/.lock)."""
-    store.root.mkdir(parents=True, exist_ok=True)
-    fd = os.open(store.lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+    try:
+        store.root.mkdir(parents=True, exist_ok=True)
+        fd = os.open(store.lock_path, os.O_CREAT | os.O_RDWR, 0o644)
+    except OSError as exc:
+        raise StoreUnwritableError(f"cannot write {store.lock_path}: {exc}") from exc
     try:
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)

@@ -1,10 +1,12 @@
+import argparse
 import subprocess
 import sys
 
 import pytest
 
 from lagpar import AmbiguityError, parse_kv_line
-from lagpar.cli import main
+from lagpar.cli import build_parser, main
+from test_golden import FORECAST
 
 
 def run_cli(capsys, *argv):
@@ -153,6 +155,18 @@ def test_identical_roots_rejected(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("primary_name", ["file", "file/p"])
+def test_store_root_that_cannot_be_created_exits_3(capsys, tmp_path, primary_name):
+    (tmp_path / "file").write_text("")
+    primary, secondary = tmp_path / primary_name, tmp_path / "dir" / "s"
+    code, out, err = run_cli(capsys, "--machine", "--primary", str(primary),
+                             "--secondary", str(secondary),
+                             "store", "--values", "1,2", "--m", "1", "--id", "x")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: cannot write")
+    assert not (primary / "x").exists() and not (secondary / "x").exists()
+
+
 def test_lagpar_root_env_sets_default_stores(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("LAGPAR_ROOT", str(tmp_path / "env_stores"))
     code, _, _ = run_cli(capsys, "store", "--values", "4,5", "--m", "1", "--id", "d1")
@@ -249,3 +263,67 @@ def test_module_entry_point_runs_in_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout == "block index=3 role=parity value=8/1\n"
+
+
+# --- one parser per process: each sequence below runs in this one process ---
+
+ENCODE = ["encode", "--values", "2,3,5", "--m", "1", "--id", "d2"]
+ENCODE_MACHINE = (0, "block index=3 role=parity value=8/1\n", "")
+
+
+def test_main_builds_its_parser_once(capsys, monkeypatch):
+    run_cli(capsys, "--machine", "encode", "--values", "7", "--m", "1", "--id", "d")
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["--machine", *ENCODE], ["demo-forecast", "--scenario", "healthy"],
+                 ["encode", "--values", "", "--m", "1", "--id", "d3"]):
+        run_cli(capsys, *argv)
+    assert built == []
+    assert build_parser() is not build_parser()
+    assert built
+
+
+def test_machine_call_does_not_leak_into_next_call(capsys):
+    assert run_cli(capsys, "--machine", *ENCODE) == ENCODE_MACHINE
+    assert run_cli(capsys, *ENCODE) == (
+        0, "parity blocks for dataset d2 (k=3, m=1):\n  index 3: 8/1\n", ""
+    )
+
+
+@pytest.mark.parametrize("first", [
+    ["--machine", "encode", "--values", "2,3,5", "--m", "one", "--id", "d2"],
+    ["--machine", "encode", "--values", "2,3,5", "--id", "d2"],
+    ["--machine", "nope"],
+], ids=["bad-int", "missing-option", "unknown-command"])
+def test_usage_error_then_valid_encode(capsys, first):
+    code, out, err = run_cli(capsys, *first)
+    assert (code, out) == (2, "") and err.startswith("usage: lagpar")
+    assert run_cli(capsys, "--machine", *ENCODE) == ENCODE_MACHINE
+
+
+def test_help_then_valid_command(capsys):
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0 and out.startswith("usage: lagpar")
+    assert run_cli(capsys, "--machine", *ENCODE) == ENCODE_MACHINE
+
+
+def test_scenario_default_applies_after_an_explicit_scenario(capsys):
+    assert run_cli(capsys, "demo-forecast", "--scenario", "healthy")[:2] == FORECAST["healthy"]
+    assert run_cli(capsys, "demo-forecast")[:2] == FORECAST["primary-degraded"]
+
+
+def test_lagpar_root_is_read_on_every_call(capsys, tmp_path, monkeypatch):
+    for name in ("a", "b"):
+        monkeypatch.setenv("LAGPAR_ROOT", str(tmp_path / name))
+        code, out, _ = run_cli(capsys, "--machine", "store", "--values", "4,5", "--m", "1",
+                               "--id", "d1")
+        assert (code, out) == (0, "stored dataset=d1 k=2 m=1 blocks=3\n")
+    for name in ("a", "b"):
+        assert (tmp_path / name / "primary" / "d1" / "manifest.plym").is_file()
+        assert (tmp_path / name / "secondary" / "d1" / "manifest.plym").is_file()

@@ -1,9 +1,9 @@
 """Golden CLI sessions: exact stdout and exit code of every command.
 
 The README `--machine` session, both demos in both output modes, a wide
-k = m = 24 encode, a human session over recover, verify and health, and a
-store in the old PLYM1/PLYD1 format.  Store roots in human output are
-shown as `<tmp>`.
+k = m = 24 encode, a human session over recover, verify and health, a
+store in the old PLYM1/PLYD1 format, and the help text at a fixed terminal
+width.  Store roots in human output are shown as `<tmp>`.
 """
 
 import hashlib
@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from lagpar import block_digest, make_block, render_block_file
-from lagpar.cli import main
+from lagpar.cli import build_parser, main
 from conftest import rewrite_manifest
 
 README_SESSION = [
@@ -207,6 +207,43 @@ OLD_FORMAT_SESSION = [
     ),
 ]
 
+# at COLUMNS=80: argparse wraps help to $COLUMNS - 2, worked out each time help is printed
+HELP = {
+    "lagpar": """\
+usage: lagpar [-h] [--primary PRIMARY] [--secondary SECONDARY] [--machine]
+              {encode,store,recover,verify,health,inject,demo-carbon,demo-forecast}
+              ...
+
+Exact-rational parity coding: encode k values into parity blocks, store them
+across two tiers, and recover from loss or corruption.
+
+positional arguments:
+  {encode,store,recover,verify,health,inject,demo-carbon,demo-forecast}
+    encode              print parity blocks for a value list
+    store               write originals + parity + manifest to the stores
+    recover             recover a dataset's values
+    verify              check block consistency for a dataset
+    health              report reachability and corrupt files
+    inject              inject a fault into a store (test harness)
+    demo-carbon         carbon-footprint walkthrough
+    demo-forecast       forecast-coefficient recovery walkthrough
+
+options:
+  -h, --help            show this help message and exit
+  --primary PRIMARY     primary store root (default: $LAGPAR_ROOT/primary)
+  --secondary SECONDARY
+                        secondary store root (default: $LAGPAR_ROOT/secondary)
+  --machine             machine-parseable key=value output
+""",
+    "lagpar recover": """\
+usage: lagpar recover [-h] --id ID
+
+options:
+  -h, --help  show this help message and exit
+  --id ID
+""",
+}
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -279,3 +316,21 @@ def test_old_format_store_is_not_read(tmp_path, capsys):
     for argv, code, out in OLD_FORMAT_SESSION:
         got_code, got_out = run(capsys, [*roots, *argv])
         assert (got_code, got_out.replace(str(tmp_path), "<tmp>")) == (code, out), argv
+
+
+@pytest.mark.parametrize("command", sorted(HELP))
+def test_help_text(capsys, monkeypatch, command):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [*command.split()[1:], "--help"]
+    assert run(capsys, argv) == (0, HELP[command])
+
+
+def test_help_wraps_to_each_calls_width(capsys, monkeypatch):
+    helps = []
+    for columns in ("60", "120"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out = run(capsys, ["--help"])
+        assert (code, out) == (0, build_parser().format_help()), columns
+        helps.append(out)
+    narrow, wide = helps
+    assert len(narrow.splitlines()) > len(wide.splitlines())

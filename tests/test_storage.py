@@ -20,6 +20,7 @@ from lagpar import (
     Store,
     StoreLockedError,
     StoreUnreachableError,
+    StoreUnwritableError,
     UnknownTargetError,
     UnrecoverableError,
     Unreachable,
@@ -146,6 +147,18 @@ def test_store_respects_advisory_lock(store_pair):
     finally:
         os.close(fd)
     store_carbon(primary, secondary)  # lock released, second attempt succeeds
+
+
+@pytest.mark.parametrize("side", ["primary", "secondary"])
+@pytest.mark.parametrize("bad_root", ["file", "file/s"])
+def test_store_root_that_cannot_be_created(tmp_path, side, bad_root):
+    (tmp_path / "file").write_text("")
+    bad, good = Store(tmp_path / bad_root), Store(tmp_path / "good")
+    primary, secondary = (bad, good) if side == "primary" else (good, bad)
+    with pytest.raises(StoreUnwritableError):
+        store_carbon(primary, secondary)
+    assert not bad.dataset_dir("carbon").exists()
+    assert not good.dataset_dir("carbon").exists()
 
 
 # --- health_check -----------------------------------------------------------
