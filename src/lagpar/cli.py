@@ -35,6 +35,7 @@ from .storage import (
     health_check,
     inject_fault,
     recover_dataset,
+    same_directory,
     store_dataset,
 )
 
@@ -45,7 +46,7 @@ def _stores(args: argparse.Namespace) -> tuple[Store, Store]:
     parent = Path(os.environ.get("LAGPAR_ROOT", DEFAULT_STORE_PARENT))
     primary = Path(args.primary) if args.primary else parent / "primary"
     secondary = Path(args.secondary) if args.secondary else parent / "secondary"
-    if primary.resolve() == secondary.resolve():
+    if same_directory(primary, secondary):
         raise InputError("primary and secondary store roots must differ")
     return Store(primary), Store(secondary)
 

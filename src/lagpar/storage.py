@@ -79,6 +79,7 @@ from .errors import (
 from .rationals import format_rational, parse_rational
 
 BLOCK_MAGIC = "PLYD2"
+_BLOCK_MAGIC_BYTES = BLOCK_MAGIC.encode("ascii")
 MANIFEST_MAGIC = "PLYM2"
 MANIFEST_NAME = "manifest.plym"
 CREATED_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
@@ -89,7 +90,9 @@ _HEAD_RE = re.compile(rf"dataset=(\S+) k=({_INT}) m=({_INT})\Z")
 _BLOCK_LINE_RE = re.compile(rf"block index=({_INT}) role=(original|parity) value=([^ ]+)\Z")
 _BLOCK_FILENAME_RE = re.compile(rf"block_({_INT})\.plyd\Z")
 _DIGEST_LINE_RE = re.compile(rf"digest index=({_INT}) sha256=([0-9a-f]{{64}})\Z")
-_CREATED_RE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z\Z")
+_CREATED_RE = re.compile(
+    r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z\Z"
+)
 _TAG_RE = re.compile(r"[a-z][a-z0-9_-]*\Z")
 _KEY_RE = re.compile(r"[a-z][a-z0-9_]*\Z")
 
@@ -224,13 +227,27 @@ def _utc_now() -> str:
 
 def _valid_created(ts: str) -> bool:
     """Whether ts is a zero-padded UTC YYYY-MM-DDTHH:MM:SSZ naming a real instant."""
-    if _CREATED_RE.match(ts) is None:
+    match = _CREATED_RE.match(ts)
+    if match is None:
         return False
     try:
-        datetime.strptime(ts, CREATED_FORMAT)
+        datetime(*map(int, match.groups()))
     except ValueError:
         return False
     return True
+
+
+def same_directory(a: Path, b: Path) -> bool:
+    """Whether two store roots name one directory.
+
+    Existing roots are the same when they are the same file (device and
+    inode), whatever path, symlink or mount leads to each.  Only when a
+    root is missing are the two paths compared with symlinks resolved.
+    """
+    try:
+        return os.path.samefile(a, b)
+    except OSError:
+        return os.path.realpath(a) == os.path.realpath(b)
 
 
 # ---------------------------------------------------------------------------
@@ -257,16 +274,20 @@ def _write_lock(store: Store) -> Iterator[None]:
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    """Write via temp file + rename so partially written files are never visible."""
+    """Write via temp file + rename so partially written files are never visible.
+
+    The directory must exist.  The temp file is removed only if the write fails.
+    """
     tmp = path.parent / f".tmp-{os.getpid()}-{path.name}"
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(text.encode("utf-8"))
-        os.replace(tmp, path)
+        try:
+            tmp.write_bytes(text.encode("utf-8"))
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
     except OSError as exc:
         raise StoreUnwritableError(f"cannot write {path}: {exc}") from exc
-    finally:
-        tmp.unlink(missing_ok=True)
 
 
 def _is_reachable(store: Store) -> bool:
@@ -302,20 +323,29 @@ def _parse_manifest(data: bytes | None, dataset_id: str) -> DatasetManifest | No
     return DatasetManifest(dataset_id, k, m, digests, created)
 
 
-def _checked_block(path: Path, index: int, manifest: DatasetManifest) -> CodedBlock | None:
+def _checked_block(path: str, index: int, manifest: DatasetManifest) -> CodedBlock | None:
     """Parse and validate a block file; None means erasure-grade invalid.
 
-    Valid means: exactly two LF-terminated lines in the strict format, the
-    index matches the filename, the role matches the manifest's k, and the
-    block line hashes to the manifest's digest for this index.
+    Valid means: exactly two LF-terminated lines, the second of which hashes
+    to the manifest's digest for this index and is in the strict format,
+    with the index of the filename and the role the manifest's k implies.
+    The digest is checked over the raw line, before parsing: the strict
+    format admits one spelling per block, so a line that parses is
+    block_line(block) byte for byte.
     """
     try:
-        parts = path.read_bytes().decode("utf-8").split("\n")
-    except (OSError, UnicodeDecodeError):
+        with open(path, "rb") as file:
+            parts = file.read().split(b"\n")
+    except OSError:
         return None
-    if len(parts) != 3 or parts[0] != BLOCK_MAGIC or parts[2] != "":
+    if len(parts) != 3 or parts[0] != _BLOCK_MAGIC_BYTES or parts[2] != b"":
         return None
-    body = _BLOCK_LINE_RE.match(parts[1])
+    if hashlib.sha256(parts[1]).hexdigest() != manifest.block_digests[index]:
+        return None
+    try:
+        body = _BLOCK_LINE_RE.match(parts[1].decode("utf-8"))
+    except UnicodeDecodeError:
+        return None
     if body is None:
         return None
     index_text, role_text, value_text = body.groups()
@@ -329,9 +359,7 @@ def _checked_block(path: Path, index: int, manifest: DatasetManifest) -> CodedBl
         )
     except (BadRationalError, ValueError):
         return None
-    if block.index != index or block_digest(block) != manifest.block_digests[index]:
-        return None
-    return block
+    return block if block.index == index else None
 
 
 def _scan(
@@ -348,17 +376,23 @@ def _scan(
     others: list[tuple[Path, int | None]] = []
     digests = manifest.block_digests
     directory = store.dataset_dir(manifest.dataset_id)
-    if not directory.is_dir():
+    try:
+        with os.scandir(directory) as entries:
+            files = sorted(
+                (entry.name, entry.path)
+                for entry in entries
+                if entry.name != MANIFEST_NAME
+                and not entry.name.startswith(".")
+                and entry.is_file()
+            )
+    except OSError:  # no dataset directory here: every block is an erasure
         return valid, others
-    for path in sorted(directory.iterdir(), key=lambda p: p.name):
-        name = path.name
-        if name == MANIFEST_NAME or name.startswith(".") or not path.is_file():
-            continue
+    for name, path in files:
         match = _BLOCK_FILENAME_RE.match(name)
         index = int(match.group(1)) if match else None
         block = _checked_block(path, index, manifest) if index in digests else None
         if block is None:
-            others.append((path, index))
+            others.append((directory / name, index))
         else:
             valid[index] = block
     return valid, others
@@ -388,7 +422,7 @@ def store_dataset(
     """
     if not _DATASET_ID_RE.match(dataset_id):
         raise BadDatasetIdError(f"bad dataset id: {dataset_id!r}")
-    if primary.root.resolve() == secondary.root.resolve():
+    if same_directory(primary.root, secondary.root):
         raise InputError("primary and secondary stores must be different directories")
     created = created_at if created_at is not None else _utc_now()
     if not _valid_created(created):
@@ -409,6 +443,12 @@ def store_dataset(
         for name, store in named:
             if store.manifest_path(dataset_id).exists():
                 raise DuplicateDatasetError(f"dataset {dataset_id!r} already in {name} store")
+        for _, store in named:
+            directory = store.dataset_dir(dataset_id)
+            try:
+                directory.mkdir(exist_ok=True)
+            except OSError as exc:
+                raise StoreUnwritableError(f"cannot write {directory}: {exc}") from exc
         for block in originals:
             _atomic_write(primary.block_path(dataset_id, block.index), render_block_file(block))
             hook(f"primary:block:{block.index}")
@@ -435,14 +475,16 @@ def health_check(store: Store) -> StoreStatus:
         return StoreStatus(reachable=False, datasets_present=(), corrupt_files=())
     datasets: list[str] = []
     corrupt: list[Path] = []
-    for directory in sorted(p for p in store.root.iterdir() if p.is_dir()):
-        if not _DATASET_ID_RE.match(directory.name):
-            continue
-        manifest_path = directory / MANIFEST_NAME
+    with os.scandir(store.root) as entries:
+        names = sorted(
+            entry.name for entry in entries if _DATASET_ID_RE.match(entry.name) and entry.is_dir()
+        )
+    for name in names:
+        manifest_path = store.manifest_path(name)
         if not manifest_path.is_file():
             continue
-        datasets.append(directory.name)
-        manifest = _parse_manifest(_read(manifest_path), directory.name)
+        datasets.append(name)
+        manifest = _parse_manifest(_read(manifest_path), name)
         if manifest is None:
             corrupt.append(manifest_path)
             continue

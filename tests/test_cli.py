@@ -1,4 +1,5 @@
 import argparse
+import os
 import subprocess
 import sys
 
@@ -153,6 +154,29 @@ def test_identical_roots_rejected(capsys, tmp_path):
     code, _, _ = run_cli(capsys, "--primary", root, "--secondary", root,
                          "store", "--values", "1", "--m", "0", "--id", "d")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", [["store", "--values", "1", "--m", "0", "--id", "d"],
+                                     ["recover", "--id", "d"]], ids=["store", "recover"])
+def test_aliased_roots_rejected(capsys, aliased_roots, command):
+    primary, secondary = aliased_roots
+    code, out, err = run_cli(capsys, "--primary", str(primary), "--secondary", str(secondary),
+                             *command)
+    assert (code, out) == (2, "")
+    assert err == "error: primary and secondary store roots must differ\n"
+
+
+def test_commands_on_existing_roots_never_resolve_paths(capsys, store_pair, monkeypatch):
+    flags = store_flags(store_pair)
+    assert run_cli(capsys, *flags, "store", "--values", "1,2", "--m", "1", "--id", "d")[0] == 0
+
+    def realpath(*args, **kwargs):
+        raise AssertionError("os.path.realpath called")
+
+    monkeypatch.setattr(os.path, "realpath", realpath)
+    for command in (["recover", "--id", "d"], ["verify", "--id", "d"], ["health"]):
+        code, out, _ = run_cli(capsys, "--machine", *flags, *command)
+        assert code == 0 and out, command
 
 
 @pytest.mark.parametrize("primary_name", ["file", "file/p"])

@@ -1,11 +1,13 @@
 import fcntl
+import hashlib
 import os
 import random
+from datetime import datetime
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from lagpar import (
     AmbiguityError,
@@ -37,7 +39,8 @@ from lagpar import (
     verify,
 )
 from lagpar.cli import main
-from conftest import random_values, rewrite_manifest
+from lagpar.storage import CREATED_FORMAT, _valid_created
+from conftest import file_events, random_values, rewrite_manifest
 
 F = Fraction
 
@@ -102,6 +105,67 @@ def test_store_requires_distinct_roots(tmp_path):
     store = Store(tmp_path / "one")
     with pytest.raises(InputError):
         store_dataset([F(1)], 1, "d", store, Store(tmp_path / "one"))
+
+
+def test_store_refuses_an_aliased_root(aliased_roots):
+    primary, secondary = aliased_roots
+    with pytest.raises(InputError, match="must be different directories"):
+        store_dataset([F(1)], 1, "d", Store(primary), Store(secondary), created_at=TS)
+
+
+def test_store_to_distinct_roots_behind_symlinks(tmp_path):
+    for name in ("p", "s"):
+        (tmp_path / name).mkdir()
+        (tmp_path / f"{name}-link").symlink_to(tmp_path / name)
+    primary, secondary = Store(tmp_path / "p-link"), Store(tmp_path / "s-link")
+    store_carbon(primary, secondary)
+    assert recover_dataset("carbon", primary, secondary).values == tuple(CARBON)
+    assert (tmp_path / "s" / "carbon" / "block_5.plyd").is_file()
+
+
+def test_store_makes_each_directory_once_and_removes_nothing(store_pair):
+    primary, secondary = store_pair
+    with file_events() as events:
+        store_carbon(primary, secondary)
+    made = [path for event, path in events if event == "os.mkdir"]
+    dataset_dirs = [store.dataset_dir("carbon") for store in store_pair]
+    assert sorted(made) == sorted([primary.root, secondary.root, *dataset_dirs])
+    assert [path for event, path in events if event == "os.remove"] == []
+
+
+_TWO_DIGITS = st.one_of(st.integers(0, 99), st.sampled_from([0, 1, 12, 13, 24, 29, 30, 31, 60, 61]))
+
+
+@given(
+    year=st.one_of(st.integers(0, 9999), st.sampled_from([0, 1900, 2000, 2023, 2024, 2100])),
+    month=_TWO_DIGITS,
+    day=_TWO_DIGITS,
+    hour=_TWO_DIGITS,
+    minute=_TWO_DIGITS,
+    second=_TWO_DIGITS,
+)
+@example(year=2024, month=2, day=29, hour=0, minute=0, second=0)
+@example(year=2000, month=2, day=29, hour=0, minute=0, second=0)
+@example(year=2023, month=2, day=29, hour=0, minute=0, second=0)
+@example(year=2100, month=2, day=29, hour=0, minute=0, second=0)
+@example(year=2026, month=1, day=1, hour=24, minute=0, second=0)
+@example(year=2026, month=1, day=1, hour=23, minute=60, second=0)
+@example(year=2026, month=12, day=31, hour=23, minute=59, second=60)
+@example(year=2026, month=12, day=31, hour=23, minute=59, second=61)
+@example(year=2026, month=0, day=1, hour=0, minute=0, second=0)
+@example(year=2026, month=13, day=1, hour=0, minute=0, second=0)
+@example(year=2026, month=4, day=31, hour=0, minute=0, second=0)
+@example(year=2026, month=4, day=30, hour=0, minute=0, second=0)
+@example(year=0, month=1, day=1, hour=0, minute=0, second=0)
+def test_created_timestamp_check_matches_strptime(year, month, day, hour, minute, second):
+    ts = f"{year:04}-{month:02}-{day:02}T{hour:02}:{minute:02}:{second:02}Z"
+    try:
+        datetime.strptime(ts, CREATED_FORMAT)
+    except ValueError:
+        accepted = False
+    else:
+        accepted = True
+    assert _valid_created(ts) is accepted, ts
 
 
 def test_store_bad_created_at(store_pair):
@@ -381,21 +445,56 @@ def test_recover_search_cap_when_inconsistent(store_pair, capsys):
     assert "suspects=12\n" in capsys.readouterr().out
 
 
-def test_healthy_recover_reads_only_the_primary_and_manifests(store_pair, monkeypatch):
+def test_healthy_recover_reads_only_the_primary_and_manifests(store_pair):
     primary, secondary = store_pair
     values = random_values(random.Random(24), 24)
     store_dataset(values, 24, "wide", primary, secondary, created_at=TS)
-    read, listed = [], []
-    read_bytes, iterdir = Path.read_bytes, Path.iterdir
-    monkeypatch.setattr(Path, "read_bytes", lambda path: read.append(path) or read_bytes(path))
-    monkeypatch.setattr(Path, "iterdir", lambda path: listed.append(path) or iterdir(path))
-    result = recover_dataset("wide", primary, secondary)
+    with file_events() as events:
+        result = recover_dataset("wide", primary, secondary)
     assert result.provenance is Provenance.PRIMARY and result.values == tuple(values)
-    assert sorted(read) == sorted(
+    opened = [path for event, path in events if event == "open"]
+    listed = [path for event, path in events if event in ("os.listdir", "os.scandir")]
+    assert sorted(opened) == sorted(
         [primary.manifest_path("wide"), secondary.manifest_path("wide")]
         + [primary.block_path("wide", i) for i in range(24)]
     )
     assert listed == [primary.dataset_dir("wide")]
+
+
+# Parity block 1 of the constant dataset (v,) with k=1, rewritten in a
+# spelling the strict format refuses; the manifest is re-sealed with the
+# digest of the raw line, so only the format checks can refuse it.
+REFUSED_BLOCK_FILES = {
+    "value=4/2": (F(2), b"PLYD2\nblock index=1 role=parity value=4/2\n"),
+    "value=03/1": (F(3), b"PLYD2\nblock index=1 role=parity value=03/1\n"),
+    "value=-0/1": (F(0), b"PLYD2\nblock index=1 role=parity value=-0/1\n"),
+    "index=01": (F(3), b"PLYD2\nblock index=01 role=parity value=3/1\n"),
+    "index-of-block-2": (F(3), b"PLYD2\nblock index=2 role=parity value=3/1\n"),
+    "role-for-other-k": (F(3), b"PLYD2\nblock index=1 role=original value=3/1\n"),
+    "crlf": (F(3), b"PLYD2\r\nblock index=1 role=parity value=3/1\r\n"),
+    "cr-before-lf": (F(3), b"PLYD2\nblock index=1 role=parity value=3/1\r\n"),
+    "trailing-space": (F(3), b"PLYD2\nblock index=1 role=parity value=3/1 \n"),
+    "bytes-after-last-lf": (F(3), b"PLYD2\nblock index=1 role=parity value=3/1\nx"),
+    "non-utf8-byte": (F(3), b"PLYD2\nblock index=1 role=parity value=3/1\xff\n"),
+}
+
+
+@pytest.mark.parametrize("content", sorted(REFUSED_BLOCK_FILES))
+def test_digest_first_reader_refuses_what_the_format_refuses(store_pair, content):
+    primary, secondary = store_pair
+    value, data = REFUSED_BLOCK_FILES[content]
+    store_dataset([value], 3, "d", primary, secondary, created_at=TS)
+    path = secondary.block_path("d", 1)
+    path.write_bytes(data)
+    raw_digest = hashlib.sha256(data.split(b"\n")[1]).hexdigest()
+    for store in store_pair:
+        rewrite_manifest(store.manifest_path("d"), digests={1: raw_digest})
+    inject_fault(primary, DeleteBlock("d", 0))  # make recover read the secondary
+    result = recover_dataset("d", primary, secondary)
+    assert result.provenance is Provenance.RECONSTRUCTED
+    assert result.values == (value,)
+    assert result.suspects == (1,)
+    assert health_check(secondary).corrupt_files == (path,)
 
 
 # --- the manifest is the authority on k and m -------------------------------
