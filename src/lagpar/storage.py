@@ -25,12 +25,15 @@ makes a manifest unreadable and a block file invalid.  Stores in the older
 PLYM1/PLYD1 format are not read: their manifests are unreadable.
 
 Each format has one reader: _checked_block for block files, _parse_manifest
-for manifests.  Of the two manifest replicas, identical bytes are parsed
-once; otherwise an unreadable replica gives way to the other, and two
-readable replicas that differ raise ManifestConflictError.  _scan reads a
-dataset directory once against the manifest; health_check flags what it
-rejects, and recover gathers its valid blocks, from the primary alone when
-the primary is intact.
+for manifests, both over one raw reader (_read: os.open, os.read to EOF);
+one raw writer, _atomic_write, writes every file.  Of the two manifest
+replicas, identical bytes are parsed once; otherwise an unreadable replica
+gives way to the other, and two readable replicas that differ raise
+ManifestConflictError.  _scan checks a dataset directory's listing against
+the manifest; health_check flags what it rejects, and recover gathers its
+valid blocks, from the primary alone when the primary is intact.
+health_check lists each dataset directory once and reads each file once; a
+dataset is present when its listing shows a regular manifest file.
 
 Originals are written to the primary store, parity blocks to the secondary,
 and the manifest to both; the manifest is written last, after every block,
@@ -45,7 +48,7 @@ import fcntl
 import hashlib
 import os
 import re
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from enum import Enum
@@ -83,13 +86,12 @@ _BLOCK_MAGIC_BYTES = BLOCK_MAGIC.encode("ascii")
 MANIFEST_MAGIC = "PLYM2"
 MANIFEST_NAME = "manifest.plym"
 CREATED_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
+_READ_SIZE = 1 << 16
 
 _DATASET_ID_RE = re.compile(r"[A-Za-z0-9_-]{1,64}\Z")
 _INT = r"(?:0|[1-9][0-9]*)"
 _HEAD_RE = re.compile(rf"dataset=(\S+) k=({_INT}) m=({_INT})\Z")
-_BLOCK_LINE_RE = re.compile(rf"block index=({_INT}) role=(original|parity) value=([^ ]+)\Z")
 _BLOCK_FILENAME_RE = re.compile(rf"block_({_INT})\.plyd\Z")
-_DIGEST_LINE_RE = re.compile(rf"digest index=({_INT}) sha256=([0-9a-f]{{64}})\Z")
 _CREATED_RE = re.compile(
     r"([0-9]{4})-([0-9]{2})-([0-9]{2})T([0-9]{2}):([0-9]{2}):([0-9]{2})Z\Z"
 )
@@ -110,7 +112,7 @@ class Store:
         return self.root / dataset_id
 
     def block_path(self, dataset_id: str, index: int) -> Path:
-        return self.dataset_dir(dataset_id) / f"block_{index}.plyd"
+        return self.dataset_dir(dataset_id) / _block_name(index)
 
     def manifest_path(self, dataset_id: str) -> Path:
         return self.dataset_dir(dataset_id) / MANIFEST_NAME
@@ -180,9 +182,17 @@ Fault = Unreachable | DeleteBlock | FlipByte
 # ---------------------------------------------------------------------------
 
 
+def _block_name(index: int) -> str:
+    return f"block_{index}.plyd"
+
+
+def _line_prefix(index: int, role: BlockRole) -> str:
+    return f"block index={index} role={role.value} value="
+
+
 def block_line(block: CodedBlock) -> str:
     """The canonical one-line encoding of a block (digest input, CLI output)."""
-    return f"block index={block.index} role={block.role.value} value={format_rational(block.value)}"
+    return _line_prefix(block.index, block.role) + format_rational(block.value)
 
 
 def block_digest(block: CodedBlock) -> str:
@@ -273,30 +283,51 @@ def _write_lock(store: Store) -> Iterator[None]:
         os.close(fd)
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(directory: str, name: str, data: bytes) -> None:
     """Write via temp file + rename so partially written files are never visible.
 
     The directory must exist.  The temp file is removed only if the write fails.
     """
-    tmp = path.parent / f".tmp-{os.getpid()}-{path.name}"
+    path, tmp = os.path.join(directory, name), os.path.join(directory, f".tmp-{os.getpid()}-{name}")
     try:
         try:
-            tmp.write_bytes(text.encode("utf-8"))
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                view = memoryview(data)
+                while view:
+                    view = view[os.write(fd, view) :]
+            finally:
+                os.close(fd)
             os.replace(tmp, path)
         except BaseException:
-            tmp.unlink(missing_ok=True)
+            with suppress(FileNotFoundError):
+                os.unlink(tmp)
             raise
     except OSError as exc:
         raise StoreUnwritableError(f"cannot write {path}: {exc}") from exc
 
 
 def _is_reachable(store: Store) -> bool:
-    return store.root.is_dir() and not store.flag_path.exists()
+    return os.path.isdir(store.root) and not os.path.exists(store.flag_path)
 
 
-def _read(path: Path) -> bytes | None:
+def _read(path: str) -> bytes | None:
+    """Every byte of the file at path, or None if it cannot be opened or read."""
     try:
-        return path.read_bytes()
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            return b"".join(iter(lambda: os.read(fd, _READ_SIZE), b""))
+        finally:
+            os.close(fd)
+    except OSError:
+        return None
+
+
+def _list(directory: str) -> dict[str, tuple[str, bool, bool]] | None:
+    """(path, is a regular file, is a directory) by name in name order; None if unreadable."""
+    try:
+        with os.scandir(directory) as entries:
+            return dict(sorted((e.name, (e.path, e.is_file(), e.is_dir())) for e in entries))
     except OSError:
         return None
 
@@ -316,10 +347,11 @@ def _parse_manifest(data: bytes | None, dataset_id: str) -> DatasetManifest | No
         return None
     digests: dict[int, str] = {}
     for position, line in enumerate(parts[2:-2]):
-        match = _DIGEST_LINE_RE.match(line)
-        if match is None or int(match.group(1)) != position:
+        prefix = f"digest index={position} sha256="
+        digest = line[len(prefix) :]
+        if not line.startswith(prefix) or len(digest) != 64 or digest.strip("0123456789abcdef"):
             return None
-        digests[position] = match.group(2)
+        digests[position] = digest
     return DatasetManifest(dataset_id, k, m, digests, created)
 
 
@@ -329,43 +361,30 @@ def _checked_block(path: str, index: int, manifest: DatasetManifest) -> CodedBlo
     Valid means: exactly two LF-terminated lines, the second of which hashes
     to the manifest's digest for this index and is in the strict format,
     with the index of the filename and the role the manifest's k implies.
-    The digest is checked over the raw line, before parsing: the strict
-    format admits one spelling per block, so a line that parses is
-    block_line(block) byte for byte.
+    The digest is checked over the raw line first; then the line must start
+    with the one prefix its index and role allow and end in a canonical
+    rational, so a line that passes is block_line(block) byte for byte.
     """
-    try:
-        with open(path, "rb") as file:
-            parts = file.read().split(b"\n")
-    except OSError:
-        return None
+    parts = (_read(path) or b"").split(b"\n")
     if len(parts) != 3 or parts[0] != _BLOCK_MAGIC_BYTES or parts[2] != b"":
         return None
     if hashlib.sha256(parts[1]).hexdigest() != manifest.block_digests[index]:
         return None
+    role = BlockRole.ORIGINAL if index < manifest.k else BlockRole.PARITY
+    prefix = _line_prefix(index, role).encode("ascii")
+    if not parts[1].startswith(prefix):
+        return None
     try:
-        body = _BLOCK_LINE_RE.match(parts[1].decode("utf-8"))
-    except UnicodeDecodeError:
+        value = parse_rational(parts[1][len(prefix) :].decode("ascii"))
+    except (BadRationalError, ValueError):  # ValueError: non-ASCII, or too many digits for int
         return None
-    if body is None:
-        return None
-    index_text, role_text, value_text = body.groups()
-    try:
-        block = CodedBlock(
-            index=int(index_text),
-            value=parse_rational(value_text),
-            role=BlockRole(role_text),
-            k=manifest.k,
-            dataset_id=manifest.dataset_id,
-        )
-    except (BadRationalError, ValueError):
-        return None
-    return block if block.index == index else None
+    return CodedBlock(index, value, role, manifest.k, manifest.dataset_id)
 
 
 def _scan(
-    store: Store, manifest: DatasetManifest
+    listing: Mapping[str, tuple[str, bool, bool]], manifest: DatasetManifest
 ) -> tuple[dict[int, CodedBlock], list[tuple[Path, int | None]]]:
-    """Check each file of a dataset directory once against its manifest.
+    """Check each file of a dataset directory's listing once against its manifest.
 
     Returns the valid blocks by index, and every other file (the manifest
     and dot-files aside) with the block index its name gives, or None if its
@@ -375,24 +394,14 @@ def _scan(
     valid: dict[int, CodedBlock] = {}
     others: list[tuple[Path, int | None]] = []
     digests = manifest.block_digests
-    directory = store.dataset_dir(manifest.dataset_id)
-    try:
-        with os.scandir(directory) as entries:
-            files = sorted(
-                (entry.name, entry.path)
-                for entry in entries
-                if entry.name != MANIFEST_NAME
-                and not entry.name.startswith(".")
-                and entry.is_file()
-            )
-    except OSError:  # no dataset directory here: every block is an erasure
-        return valid, others
-    for name, path in files:
+    for name, (path, is_file, _) in listing.items():
+        if name == MANIFEST_NAME or name[0] == "." or not is_file:
+            continue
         match = _BLOCK_FILENAME_RE.match(name)
         index = int(match.group(1)) if match else None
         block = _checked_block(path, index, manifest) if index in digests else None
         if block is None:
-            others.append((directory / name, index))
+            others.append((Path(path), index))
         else:
             valid[index] = block
     return valid, others
@@ -443,52 +452,55 @@ def store_dataset(
         for name, store in named:
             if store.manifest_path(dataset_id).exists():
                 raise DuplicateDatasetError(f"dataset {dataset_id!r} already in {name} store")
-        for _, store in named:
-            directory = store.dataset_dir(dataset_id)
+        directories = [os.path.join(store.root, dataset_id) for _, store in named]
+        for directory in directories:
             try:
-                directory.mkdir(exist_ok=True)
+                Path(directory).mkdir(exist_ok=True)
             except OSError as exc:
                 raise StoreUnwritableError(f"cannot write {directory}: {exc}") from exc
-        for block in originals:
-            _atomic_write(primary.block_path(dataset_id, block.index), render_block_file(block))
-            hook(f"primary:block:{block.index}")
-        for block in parity:
-            _atomic_write(secondary.block_path(dataset_id, block.index), render_block_file(block))
-            hook(f"secondary:block:{block.index}")
-        manifest_text = render_manifest(manifest)
-        _atomic_write(primary.manifest_path(dataset_id), manifest_text)
-        hook("primary:manifest")
-        _atomic_write(secondary.manifest_path(dataset_id), manifest_text)
-        hook("secondary:manifest")
+        for (name, _), directory, blocks in zip(named, directories, (originals, parity)):
+            for block in blocks:
+                data = render_block_file(block).encode()
+                _atomic_write(directory, _block_name(block.index), data)
+                hook(f"{name}:block:{block.index}")
+        manifest_bytes = render_manifest(manifest).encode()
+        for (name, _), directory in zip(named, directories):
+            _atomic_write(directory, MANIFEST_NAME, manifest_bytes)
+            hook(f"{name}:manifest")
     return manifest
 
 
 def health_check(store: Store) -> StoreStatus:
     """Inspect a store: reachability, datasets present, digest-invalid files.
 
-    Never raises.  A dataset is present iff its manifest file exists; an
+    Never raises: a root that cannot be listed is unreachable.  A dataset is
+    present iff its directory's listing shows a regular manifest file; an
     unreadable manifest is flagged, and otherwise block files are checked
     against it and flagged when they fail any format, index, role or digest
-    check.  Missing blocks are erasures, not corruption, and are not flagged.
+    check.  A dataset directory that cannot be listed is flagged itself.
+    Missing blocks are erasures, not corruption, and are not flagged.
     """
-    if not _is_reachable(store):
+    directories = _list(store.root) if _is_reachable(store) else None
+    if directories is None:
         return StoreStatus(reachable=False, datasets_present=(), corrupt_files=())
     datasets: list[str] = []
     corrupt: list[Path] = []
-    with os.scandir(store.root) as entries:
-        names = sorted(
-            entry.name for entry in entries if _DATASET_ID_RE.match(entry.name) and entry.is_dir()
-        )
-    for name in names:
-        manifest_path = store.manifest_path(name)
-        if not manifest_path.is_file():
+    for name, (directory, _, is_dir) in directories.items():
+        if not (is_dir and _DATASET_ID_RE.match(name)):
+            continue
+        listing = _list(directory)
+        if listing is None:
+            corrupt.append(Path(directory))
+            continue
+        manifest_path, is_file, _ = listing.get(MANIFEST_NAME, ("", False, False))
+        if not is_file:
             continue
         datasets.append(name)
         manifest = _parse_manifest(_read(manifest_path), name)
         if manifest is None:
-            corrupt.append(manifest_path)
+            corrupt.append(Path(manifest_path))
             continue
-        _, others = _scan(store, manifest)
+        _, others = _scan(listing, manifest)
         corrupt.extend(path for path, _ in others)
     return StoreStatus(
         reachable=True, datasets_present=tuple(datasets), corrupt_files=tuple(corrupt)
@@ -515,8 +527,9 @@ def _gather(dataset_id: str, primary: Store, secondary: Store, *, lazy: bool) ->
     """
     if not _DATASET_ID_RE.match(dataset_id):
         raise BadDatasetIdError(f"bad dataset id: {dataset_id!r}")
-    stores = [store if _is_reachable(store) else None for store in (primary, secondary)]
-    raw = [store and _read(store.manifest_path(dataset_id)) for store in stores]
+    roots = [store.root if _is_reachable(store) else None for store in (primary, secondary)]
+    dirs = [root and os.path.join(root, dataset_id) for root in roots]
+    raw = [directory and _read(os.path.join(directory, MANIFEST_NAME)) for directory in dirs]
     own = _parse_manifest(raw[0], dataset_id)
     other = own if raw[1] == raw[0] else _parse_manifest(raw[1], dataset_id)
     if own is None and other is None:
@@ -525,16 +538,17 @@ def _gather(dataset_id: str, primary: Store, secondary: Store, *, lazy: bool) ->
         raise ManifestConflictError(f"the two manifest replicas of {dataset_id!r} differ")
     manifest = own or other
 
-    def scan(store: Store | None) -> tuple[dict[int, CodedBlock], set[int]]:
-        if store is None:
+    def scan(directory: str | None) -> tuple[dict[int, CodedBlock], set[int]]:
+        listing = directory and _list(directory)
+        if not listing:  # no dataset directory here: every block is an erasure
             return {}, set()
-        found, others = _scan(store, manifest)
+        found, others = _scan(listing, manifest)
         return found, {i for _, i in others if i in manifest.block_digests}
 
-    valid, suspects = scan(stores[0])
+    valid, suspects = scan(dirs[0])
     primary_intact = own is not None and all(i in valid for i in range(manifest.k))
     if not (lazy and primary_intact):
-        found, more = scan(stores[1])
+        found, more = scan(dirs[1])
         valid, suspects = {**found, **valid}, suspects | more
     return _Gathered(manifest, valid, suspects, primary_intact)
 
@@ -606,12 +620,12 @@ def inject_fault(store: Store, fault: Fault) -> None:
             path.unlink()
             return
         if isinstance(fault, FlipByte):
-            data = bytearray(path.read_bytes())
+            data = bytearray(_read(path) or b"")
             if not 0 <= fault.offset < len(data):
                 raise UnknownTargetError(
                     f"offset {fault.offset} outside file of {len(data)} bytes"
                 )
             data[fault.offset] ^= 0xFF
-            path.write_bytes(bytes(data))
+            _atomic_write(str(path.parent), path.name, bytes(data))
             return
         raise InputError(f"unknown fault: {fault!r}")

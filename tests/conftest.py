@@ -1,3 +1,4 @@
+import errno
 import functools
 import os
 import random
@@ -74,6 +75,24 @@ def file_events():
         yield events
     finally:
         _recordings.pop()
+
+
+@pytest.fixture
+def unlistable(monkeypatch):
+    """A set of directories that os.scandir refuses with EACCES, as for a user without read access.
+
+    Tests running as root cannot be refused by permissions, so the refusal is simulated.
+    """
+    refused: set[Path] = set()
+    scandir = os.scandir
+
+    def guarded_scandir(path="."):
+        if isinstance(path, (str, os.PathLike)) and Path(path) in refused:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), os.fspath(path))
+        return scandir(path)
+
+    monkeypatch.setattr(os, "scandir", guarded_scandir)
+    return refused
 
 
 def rewrite_manifest(path, *, digests=None, **changes):

@@ -127,6 +127,18 @@ def test_health_lists_corrupt_files(capsys, store_pair):
     assert "corrupt=d1/block_0.plyd" in out.splitlines()[0]
 
 
+def test_health_reports_a_root_it_cannot_list_as_unreachable(capsys, store_pair, unlistable):
+    flags = store_flags(store_pair)
+    run_cli(capsys, *flags, "store", "--values", "1", "--m", "1", "--id", "d1")
+    unlistable.add(store_pair[0].root)
+    code, out, err = run_cli(capsys, "--machine", *flags, "health")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "health store=primary reachable=false datasets= corrupt=",
+        "health store=secondary reachable=true datasets=d1 corrupt=",
+    ]
+
+
 def test_inject_flip_requires_offset(capsys, store_pair):
     flags = store_flags(store_pair)
     run_cli(capsys, *flags, "store", "--values", "1", "--m", "1", "--id", "d1")

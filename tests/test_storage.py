@@ -1,17 +1,24 @@
+import errno
 import fcntl
 import hashlib
 import os
 import random
+import re
+import sys
 from datetime import datetime
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lagpar import (
     AmbiguityError,
     BadDatasetIdError,
+    BadRationalError,
+    BlockRole,
+    CodedBlock,
+    DatasetManifest,
     DeleteBlock,
     DuplicateDatasetError,
     FlipByte,
@@ -20,6 +27,7 @@ from lagpar import (
     ManifestMissingError,
     Provenance,
     Store,
+    StoreStatus,
     StoreLockedError,
     StoreUnreachableError,
     StoreUnwritableError,
@@ -31,15 +39,17 @@ from lagpar import (
     collect_recovery_set,
     health_check,
     inject_fault,
+    format_rational,
     make_block,
     parse_kv_line,
+    parse_rational,
     recover_dataset,
     render_block_file,
     store_dataset,
     verify,
 )
 from lagpar.cli import main
-from lagpar.storage import CREATED_FORMAT, _valid_created
+from lagpar.storage import CREATED_FORMAT, _checked_block, _parse_manifest, _valid_created
 from conftest import file_events, random_values, rewrite_manifest
 
 F = Fraction
@@ -131,6 +141,42 @@ def test_store_makes_each_directory_once_and_removes_nothing(store_pair):
     dataset_dirs = [store.dataset_dir("carbon") for store in store_pair]
     assert sorted(made) == sorted([primary.root, secondary.root, *dataset_dirs])
     assert [path for event, path in events if event == "os.remove"] == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_stored_files_get_the_default_mode_under_the_umask(store_pair, umask):
+    old = os.umask(umask)
+    try:
+        store_carbon(*store_pair)
+    finally:
+        os.umask(old)
+    for store in store_pair:
+        for path in store.dataset_dir("carbon").iterdir():
+            assert path.stat().st_mode & 0o777 == 0o666 & ~umask, path
+
+
+def test_short_writes_still_write_whole_files(tmp_path, monkeypatch):
+    reference = (Store(tmp_path / "rp"), Store(tmp_path / "rs"))
+    store_carbon(*reference)
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, bytes(data[:3])))
+    stores = (Store(tmp_path / "p"), Store(tmp_path / "s"))
+    store_carbon(*stores)
+    monkeypatch.undo()
+    for store, ref in zip(stores, reference):
+        written = {p.name: p.read_bytes() for p in store.dataset_dir("carbon").iterdir()}
+        assert written == {p.name: p.read_bytes() for p in ref.dataset_dir("carbon").iterdir()}
+
+
+def test_failed_write_leaves_no_temp_file(store_pair, monkeypatch):
+    def full(fd, data):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(os, "write", full)
+    with pytest.raises(StoreUnwritableError, match=re.escape(os.strerror(errno.ENOSPC))):
+        store_carbon(*store_pair)
+    monkeypatch.undo()
+    assert [list(store.dataset_dir("carbon").iterdir()) for store in store_pair] == [[], []]
 
 
 _TWO_DIGITS = st.one_of(st.integers(0, 99), st.sampled_from([0, 1, 12, 13, 24, 29, 30, 31, 60, 61]))
@@ -236,6 +282,70 @@ def test_health_fresh_and_missing_roots(store_pair):
     assert status.reachable
     assert status.datasets_present == ()
     assert status.corrupt_files == ()
+
+
+def test_health_reports_a_root_it_cannot_list_as_unreachable(store_pair, unlistable):
+    primary, secondary = store_pair
+    store_carbon(primary, secondary)
+    unlistable.add(primary.root)
+    assert health_check(primary) == StoreStatus(False, (), ())
+    assert health_check(secondary) == StoreStatus(True, ("carbon",), ())
+
+
+def test_health_flags_a_dataset_directory_it_cannot_list(store_pair, unlistable):
+    # no listing, so no manifest is seen: the dataset is not present, none of
+    # its files is opened, and the directory itself is flagged
+    primary, secondary = store_pair
+    store_carbon(primary, secondary, m=4)
+    store_carbon(primary, secondary, dataset_id="other")
+    unlistable.add(primary.dataset_dir("carbon"))
+    with file_events() as events:
+        status = health_check(primary)
+    assert status == StoreStatus(True, ("other",), (primary.dataset_dir("carbon"),))
+    opened = [path for event, path in events if event == "open"]
+    assert opened and all(path.parent == primary.dataset_dir("other") for path in opened)
+    result = recover_dataset("carbon", primary, secondary)  # its primary blocks are erasures
+    assert result.provenance is Provenance.RECONSTRUCTED and result.values == tuple(CARBON)
+
+
+def test_health_never_raises_on_an_entry_whose_type_cannot_be_read(store_pair):
+    # stat on a symlink loop fails, so the directory holding one cannot be listed whole
+    primary, secondary = store_pair
+    store_carbon(primary, secondary, m=4)
+    (primary.dataset_dir("carbon") / "loop").symlink_to("loop")
+    assert health_check(primary) == StoreStatus(True, (), (primary.dataset_dir("carbon"),))
+    assert recover_dataset("carbon", primary, secondary).values == tuple(CARBON)
+    (secondary.root / "loop").symlink_to("loop")
+    assert health_check(secondary) == StoreStatus(False, (), ())
+
+
+def test_health_lists_each_directory_once_and_opens_each_file_once(store_pair):
+    primary, secondary = store_pair
+    rng = random.Random(10)
+    shapes = {"a": (2, 1), "b": (3, 2), "c": (5, 4), "d": (1, 3)}
+    for name, (k, m) in shapes.items():
+        store_dataset(random_values(rng, k), m, name, primary, secondary, created_at=TS)
+    inject_fault(primary, FlipByte("b", 0, 10))
+    (primary.dataset_dir("c") / "notes.txt").write_text("junk\n")  # flagged, never opened
+    primary.dataset_dir("bare").mkdir()  # no manifest: listed, not present
+    for store, datasets in ((primary, ["a", "b", "bare", "c", "d"]), (secondary, ["a", "b", "c", "d"])):
+        files = {
+            path
+            for name in shapes
+            for path in store.dataset_dir(name).iterdir()
+            if path.name != "notes.txt"
+        }
+        with file_events() as events:
+            status = health_check(store)
+        assert status.datasets_present == tuple(shapes)
+        opened = [path for event, path in events if event == "open"]
+        listed = [path for event, path in events if event in ("os.listdir", "os.scandir")]
+        assert sorted(opened) == sorted(files)
+        assert listed == [store.root, *(store.dataset_dir(name) for name in datasets)]
+    assert health_check(primary).corrupt_files == (
+        primary.block_path("b", 0),
+        primary.dataset_dir("c") / "notes.txt",
+    )
 
 
 def test_health_unreachable_flag_hides_everything(store_pair):
@@ -476,6 +586,11 @@ REFUSED_BLOCK_FILES = {
     "trailing-space": (F(3), b"PLYD2\nblock index=1 role=parity value=3/1 \n"),
     "bytes-after-last-lf": (F(3), b"PLYD2\nblock index=1 role=parity value=3/1\nx"),
     "non-utf8-byte": (F(3), b"PLYD2\nblock index=1 role=parity value=3/1\xff\n"),
+    "index=+1": (F(3), b"PLYD2\nblock index=+1 role=parity value=3/1\n"),
+    "role=Parity": (F(3), b"PLYD2\nblock index=1 role=Parity value=3/1\n"),
+    "doubled-space": (F(3), b"PLYD2\nblock index=1  role=parity value=3/1\n"),
+    "value=+3/1": (F(3), b"PLYD2\nblock index=1 role=parity value=+3/1\n"),
+    "fullwidth-digit": (F(3), "PLYD2\nblock index=1 role=parity value=\uff13/1\n".encode()),
 }
 
 
@@ -495,6 +610,102 @@ def test_digest_first_reader_refuses_what_the_format_refuses(store_pair, content
     assert result.values == (value,)
     assert result.suspects == (1,)
     assert health_check(secondary).corrupt_files == (path,)
+
+
+# The block and digest-line readers as they were written with regular
+# expressions, kept here as the reference the prefix comparisons must match.
+_REGEX_BLOCK_LINE = re.compile(r"block index=(0|[1-9][0-9]*) role=(original|parity) value=([^ ]+)\Z")
+_REGEX_DIGEST_LINE = re.compile(r"digest index=(0|[1-9][0-9]*) sha256=([0-9a-f]{64})\Z")
+
+
+def _regex_block_reader(line: bytes, index: int, k: int) -> CodedBlock | None:
+    try:
+        body = _REGEX_BLOCK_LINE.match(line.decode("utf-8"))
+    except UnicodeDecodeError:
+        return None
+    if body is None:
+        return None
+    try:
+        block = CodedBlock(int(body[1]), parse_rational(body[3]), BlockRole(body[2]), k, "d")
+    except (BadRationalError, ValueError):
+        return None
+    return block if block.index == index else None
+
+
+def _mutations(text: str, alphabet: str):
+    """text, and text with one character replaced, inserted or deleted."""
+    position = st.integers(0, len(text))
+    char = st.sampled_from(alphabet)
+    return st.one_of(
+        st.just(text),
+        st.tuples(position, char).map(lambda pc: text[: pc[0]] + pc[1] + text[pc[0] + 1 :]),
+        st.tuples(position, char).map(lambda pc: text[: pc[0]] + pc[1] + text[pc[0] :]),
+        position.map(lambda p: text[:p] + text[p + 1 :]),
+    )
+
+
+_LINE_CHARS = "0123456789+-/ =abcdiklnoprtuvxyzP\t\r\uff13\u0663\xe9"
+_VALUES = st.fractions(max_denominator=10**6).map(format_rational)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    line=st.one_of(
+        st.tuples(st.integers(0, 4), st.sampled_from(["original", "parity"]), _VALUES).map(
+            lambda t: f"block index={t[0]} role={t[1]} value={t[2]}"
+        ),
+        _VALUES.flatmap(lambda v: _mutations(f"block index=1 role=parity value={v}", _LINE_CHARS)),
+    ),
+    tail=st.sampled_from([b"", b"\xff", b"\x80"]),
+)
+def test_block_reader_accepts_what_the_regex_reader_accepted(tmp_path_factory, k, line, tail):
+    raw = line.encode() + tail
+    path = tmp_path_factory.mktemp("block") / "block_1.plyd"
+    path.write_bytes(b"PLYD2\n" + raw + b"\n")
+    manifest = DatasetManifest("d", k, 3, {1: hashlib.sha256(raw).hexdigest()}, TS)
+    assert _checked_block(str(path), 1, manifest) == _regex_block_reader(raw, 1, k)
+
+
+_DIGEST = hashlib.sha256(b"x").hexdigest()
+
+
+@settings(max_examples=300, deadline=None)
+@given(line=_mutations(f"digest index=0 sha256={_DIGEST}", "0123456789abcdefABF +=g\uff10"))
+def test_manifest_reader_accepts_the_digest_lines_the_regex_accepted(line):
+    body = f"PLYM2\ndataset=d k=1 m=0\n{line}\ncreated={TS}\n"
+    data = f"{body}sha256={hashlib.sha256(body.encode()).hexdigest()}\n".encode()
+    match = _REGEX_DIGEST_LINE.match(line)
+    expected = {0: match[2]} if match and match[1] == "0" else None
+    manifest = _parse_manifest(data, "d")
+    assert (manifest and dict(manifest.block_digests)) == expected
+
+
+@pytest.fixture
+def unlimited_int_digits():
+    """Lift the interpreter's cap on int/str conversion digits (4300 by default) for one test."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    old = get()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_block_longer_than_one_read_is_read_whole(store_pair, unlimited_int_digits):
+    primary, secondary = store_pair
+    values = (F(10**70_000 + 7, 3), F(1))
+    store_dataset(values, 1, "big", primary, secondary, created_at=TS)
+    assert primary.block_path("big", 0).stat().st_size > 1 << 16
+    assert health_check(primary).corrupt_files == health_check(secondary).corrupt_files == ()
+    assert recover_dataset("big", primary, secondary).values == values
+    inject_fault(primary, DeleteBlock("big", 1))  # recover reads the two long blocks
+    result = recover_dataset("big", primary, secondary)
+    assert result.provenance is Provenance.RECONSTRUCTED and result.values == values
 
 
 # --- the manifest is the authority on k and m -------------------------------
