@@ -14,10 +14,14 @@ O(k) integer operations per target however large its index.
 
 Decoding is one function, _decode: fit the k lowest-index blocks, find the
 blocks off that fit, and only if asked and too many blocks are off, locate
-the corruption by one Berlekamp-Welch solve over the rationals.  recover,
-verify and locate_corruption are three views of it: recover insists nothing
-is off, verify reports what is off, and locate_corruption locates and names
-the outliers as suspects.  Location answers whenever the number of corrupted
+the corruption by a Berlekamp-Welch solve.  The solve only names positions
+to refit, so it runs first modulo the prime p = 2**61 - 1 on word-size ints;
+the exact refit through its positions must reach the quorum, and only when
+it does not, or p divides a denominator, is the solve repeated over the
+rationals.  The values and suspects are always exact.  recover, verify and
+locate_corruption are three views of it: recover insists nothing is off,
+verify reports what is off, and locate_corruption locates and names the
+outliers as suspects.  Location answers whenever the number of corrupted
 blocks e satisfies n >= k + 2e, and its answer is then the unique polynomial
 agreeing with the most blocks.
 """
@@ -30,7 +34,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import (
     AmbiguityError,
@@ -187,36 +191,68 @@ def _interpolate_at(
     return values
 
 
-def _error_free_positions(xs: Sequence[int], ys: Sequence[Fraction], k: int) -> list[int]:
-    """Berlekamp-Welch: positions of the points (xs, ys) where the error locator E is nonzero.
+def _gauss_jordan(rows: list[list], inverse: Callable, canonical: Callable) -> list[int]:
+    """Reduce an augmented matrix to reduced row echelon form in place; its pivot columns.
 
-    With e = (n-k)//2, solves Q(x_i) = y_i*E(x_i) (deg Q < e+k, E monic of degree
-    e) by Gauss-Jordan elimination, free unknowns zero.  If a P of degree < k is
-    off at most e points, every solution has Q = P*E, so P passes through the
-    >= n-e points where E is nonzero.  Without such a P the system may have no
-    solution; it is read as if solved, and the caller's refit finds no quorum.
+    The entries lie in a field: inverse(v) is the reciprocal of a nonzero entry,
+    and canonical(row) is the row with every entry in canonical form, so that an
+    entry is zero exactly when it is falsy.
     """
-    n, e = len(xs), (len(xs) - k) // 2
-    # columns: Q's e+k coefficients, E's lower e, then the right-hand side y*x**e;
-    # all Fractions, so the pivot division stays exact
-    rows = [[Fraction(x**j) for j in range(e + k)] + [-y * x**j for j in range(e)] + [y * x**e]
-            for x, y in zip(xs, ys)]
     pivots: list[int] = []
-    for col in range(2 * e + k):
+    for col in range(len(rows[0]) - 1):
         r = len(pivots)
-        pivot = next((i for i in range(r, n) if rows[i][col]), None)
+        pivot = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        rows[r] = [v / rows[r][col] for v in rows[r]]
+        scale = inverse(rows[r][col])
+        rows[r] = top = canonical([v * scale for v in rows[r]])
         for i, row in enumerate(rows):  # the pivot row is zero left of col
-            if i != r and row[col]:
-                row[col:] = [a - row[col] * b for a, b in zip(row[col:], rows[r][col:])]
+            factor = row[col]
+            if i != r and factor:
+                row[col:] = canonical([a - factor * b for a, b in zip(row[col:], top[col:])])
         pivots.append(col)
+    return pivots
+
+
+# The two fields the error locator is solved in, as (lift, inverse, canonical):
+# lift maps a Fraction into the field, the rest is as _gauss_jordan takes it.
+# GF(p) for the Mersenne prime p = 2**61 - 1 keeps every entry a word-size int;
+# its lift raises ValueError when p divides the denominator.
+_P = 2**61 - 1
+_MOD_P = (
+    lambda y: y.numerator * pow(y.denominator, -1, _P) % _P,
+    lambda v: pow(v, -1, _P),
+    lambda row: [v % _P for v in row],
+)
+_RATIONALS = (Fraction, lambda v: 1 / Fraction(v), lambda row: row)
+
+
+def _error_free_positions(
+    xs: Sequence[int], ys: Sequence, k: int, inverse: Callable, canonical: Callable
+) -> list[int]:
+    """Berlekamp-Welch: positions of the points (xs, ys) where the error locator E is nonzero.
+
+    With e = (n-k)//2, solves Q(x_i) = y_i*E(x_i) (deg Q < e+k, E monic of degree
+    e) by Gauss-Jordan elimination in the ys' field, given by inverse and
+    canonical as _gauss_jordan takes them, free unknowns zero.  Over the
+    rationals, if a P of degree < k is off at most e points, every solution has
+    Q = P*E, so P passes through the >= n-e points where E is nonzero.  Without
+    such a P the system may have no solution; it is read as if solved, and the
+    caller's refit finds no quorum.  Modulo p the same holds of the residues,
+    but a corruption by a multiple of p is invisible there, so the caller
+    certifies the positions by its exact refit.
+    """
+    e = (len(xs) - k) // 2
+    # columns: Q's e+k coefficients, E's lower e, then the right-hand side y*x**e
+    rows = [canonical([x**j for j in range(e + k)] + [-y * x**j for j in range(e)] + [y * x**e])
+            for x, y in zip(xs, ys)]
+    pivots = _gauss_jordan(rows, inverse, canonical)
     solved = {col: row[-1] for col, row in zip(pivots, rows)}
     # E's coefficients, highest degree first, evaluated by Horner's rule
     locator = [1, *(solved.get(col, 0) for col in reversed(range(e + k, 2 * e + k)))]
-    return [i for i, x in enumerate(xs) if reduce(lambda acc, c: acc * x + c, locator, 0)]
+    at = canonical([reduce(lambda acc, c: acc * x + c, locator, 0) for x in xs])
+    return [i for i, v in enumerate(at) if v]
 
 
 def _decode(
@@ -226,8 +262,11 @@ def _decode(
 
     Returns (the k originals, indices of the blocks off the fit).  When searching
     and fewer than the quorum n - (n-k)//2 lie on the first fit, refits k positions
-    that Berlekamp-Welch finds error-free; AmbiguityError if that misses it too.  Two
-    polynomials reaching the quorum share k blocks, so one that does is the best.
+    that Berlekamp-Welch finds error-free modulo p; when that refit misses the
+    quorum too, or p divides a denominator, refits the positions found over the
+    rationals, and raises AmbiguityError if that misses it as well.  Two
+    polynomials reaching the quorum share k blocks, so one that does is the best,
+    whichever field named its positions.
     """
     k = recovery_set.k
     blocks = sorted(recovery_set.blocks, key=lambda b: b.index)
@@ -251,8 +290,16 @@ def _decode(
     quorum = n - (n - k) // 2
     if search and len(agree) < quorum:
         xs, ys = [b.index for b in blocks], [b.value for b in blocks]
-        originals, agree = fit(_error_free_positions(xs, ys, k)[:k])
-        if len(agree) < quorum:
+        for lift, inverse, canonical in (_MOD_P, _RATIONALS):
+            try:
+                lifted = [lift(y) for y in ys]
+            except ValueError:  # p divides a denominator
+                continue
+            positions = _error_free_positions(xs, lifted, k, inverse, canonical)
+            originals, agree = fit(positions[:k])
+            if len(agree) >= quorum:
+                break
+        else:
             raise AmbiguityError(f"no polynomial agrees with at least {quorum} of {n} blocks")
     return originals, tuple(b.index for i, b in enumerate(blocks) if i not in agree)
 

@@ -45,7 +45,6 @@ advisory flock on <root>/.lock; readers need no lock.
 from __future__ import annotations
 
 import fcntl
-import hashlib
 import os
 import re
 from contextlib import contextmanager, suppress
@@ -87,6 +86,8 @@ MANIFEST_MAGIC = "PLYM2"
 MANIFEST_NAME = "manifest.plym"
 CREATED_FORMAT = "%Y-%m-%dT%H:%M:%SZ"
 _READ_SIZE = 1 << 16
+# a temp file is always created anew: never through a link, never reusing a file
+_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW
 
 _DATASET_ID_RE = re.compile(r"[A-Za-z0-9_-]{1,64}\Z")
 _INT = r"(?:0|[1-9][0-9]*)"
@@ -195,8 +196,15 @@ def block_line(block: CodedBlock) -> str:
     return _line_prefix(block.index, block.role) + format_rational(block.value)
 
 
+def _sha256(data: bytes) -> str:
+    """The hex SHA-256 of data.  hashlib, and the OpenSSL behind it, load on the first call."""
+    import hashlib
+
+    return hashlib.sha256(data).hexdigest()
+
+
 def block_digest(block: CodedBlock) -> str:
-    return hashlib.sha256(block_line(block).encode("utf-8")).hexdigest()
+    return _sha256(block_line(block).encode("utf-8"))
 
 
 def render_block_file(block: CodedBlock) -> str:
@@ -209,7 +217,7 @@ def render_manifest(manifest: DatasetManifest) -> str:
         lines.append(f"digest index={index} sha256={manifest.block_digests[index]}")
     lines.append(f"created={manifest.created_at}")
     body = "\n".join(lines) + "\n"
-    return f"{body}sha256={hashlib.sha256(body.encode('utf-8')).hexdigest()}\n"
+    return f"{body}sha256={_sha256(body.encode('utf-8'))}\n"
 
 
 def parse_kv_line(line: str) -> tuple[str, dict[str, str]]:
@@ -286,12 +294,18 @@ def _write_lock(store: Store) -> Iterator[None]:
 def _atomic_write(directory: str, name: str, data: bytes) -> None:
     """Write via temp file + rename so partially written files are never visible.
 
-    The directory must exist.  The temp file is removed only if the write fails.
+    The directory must exist.  Whatever lies at the temp file's name, a stale
+    temp file or a planted link, is unlinked once and never written through.
+    The temp file is removed only if the write fails.
     """
     path, tmp = os.path.join(directory, name), os.path.join(directory, f".tmp-{os.getpid()}-{name}")
     try:
         try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                fd = os.open(tmp, _TMP_FLAGS, 0o666)
+            except FileExistsError:
+                os.unlink(tmp)
+                fd = os.open(tmp, _TMP_FLAGS, 0o666)
             try:
                 view = memoryview(data)
                 while view:
@@ -335,7 +349,7 @@ def _list(directory: str) -> dict[str, tuple[str, bool, bool]] | None:
 def _parse_manifest(data: bytes | None, dataset_id: str) -> DatasetManifest | None:
     """The manifest in data, or None if absent, unsealed, malformed or another dataset's."""
     body, _, seal = (data or b"").rpartition(b"sha256=")
-    if seal != f"{hashlib.sha256(body).hexdigest()}\n".encode("ascii"):
+    if seal != f"{_sha256(body)}\n".encode("ascii"):
         return None
     parts = body.decode("utf-8", errors="replace").split("\n")  # every field is ASCII-checked
     head = _HEAD_RE.match(parts[1]) if len(parts) > 4 and parts[0] == MANIFEST_MAGIC else None
@@ -368,7 +382,7 @@ def _checked_block(path: str, index: int, manifest: DatasetManifest) -> CodedBlo
     parts = (_read(path) or b"").split(b"\n")
     if len(parts) != 3 or parts[0] != _BLOCK_MAGIC_BYTES or parts[2] != b"":
         return None
-    if hashlib.sha256(parts[1]).hexdigest() != manifest.block_digests[index]:
+    if _sha256(parts[1]) != manifest.block_digests[index]:
         return None
     role = BlockRole.ORIGINAL if index < manifest.k else BlockRole.PARITY
     prefix = _line_prefix(index, role).encode("ascii")

@@ -1,5 +1,6 @@
 import errno
 import functools
+import hashlib
 import os
 import random
 import sys
@@ -95,15 +96,21 @@ def unlistable(monkeypatch):
     return refused
 
 
-def rewrite_manifest(path, *, digests=None, **changes):
+def rewrite_manifest(path, *, digests=None, edit=None, **changes):
     """Rewrite a manifest file with some fields changed, sealed anew by render_manifest.
 
     digests maps block indices to replacement digests; other keywords replace
-    DatasetManifest fields.
+    DatasetManifest fields.  edit, if given, maps the rendered text before the
+    seal line to the text that is sealed instead, for a shape render_manifest
+    never writes.
     """
     manifest = _parse_manifest(path.read_bytes(), path.parent.name)
     changes["block_digests"] = {**manifest.block_digests, **(digests or {})}
-    path.write_text(render_manifest(replace(manifest, **changes)))
+    text = render_manifest(replace(manifest, **changes))
+    if edit is not None:
+        body = edit(text[: text.rindex("sha256=")])
+        text = f"{body}sha256={hashlib.sha256(body.encode()).hexdigest()}\n"
+    path.write_text(text)
 
 
 def random_values(rng: random.Random, k: int, *, max_den: int = 1000) -> list[Fraction]:

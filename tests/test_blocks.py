@@ -29,7 +29,7 @@ from lagpar import (
     recover,
     verify,
 )
-from lagpar.blocks import _interpolate_at
+from lagpar.blocks import _P, _interpolate_at
 from conftest import random_values
 from oracle import eval_brute, max_agreement, solve_vandermonde
 
@@ -305,6 +305,61 @@ def test_locate_wide_at_radius():
     result = locate_corruption(RecoverySet(tuple(blocks), 10))  # n=20 = k+2e
     assert result.recovered == tuple(values)
     assert result.suspects == tuple(corrupted)
+
+
+def test_locate_every_error_pattern_within_the_radius():
+    # bounded-exhaustive: every n <= 8, k < n and corrupted set with n >= k + 2e
+    for n in range(2, 9):
+        for k in range(1, n):
+            values = random_values(random.Random(8 * n + k), k)
+            clean = original_blocks(values, "d") + encode(values, n - k, "d")
+            for e in range((n - k) // 2 + 1):
+                for corrupted in combinations(range(n), e):
+                    blocks = list(clean)
+                    for index in corrupted:
+                        blocks[index] = corrupt(blocks[index], F(-7, 3))
+                    result = locate_corruption(RecoverySet(tuple(blocks), k))
+                    assert result.recovered == tuple(values)
+                    assert result.suspects == corrupted
+
+
+# --- the locator mod p, certified by the exact fallback --------------------
+
+INTEGERS = [F(3), F(-1), F(4), F(1)]
+
+
+@pytest.mark.parametrize("shift", [_P, 3 * _P])
+def test_locate_shifts_invisible_mod_p(shift):
+    # integer data shifted by a multiple of p is clean mod p: the locator mod p
+    # is then x**e, whose refit through blocks 1..k meets the shifted blocks
+    # and misses the quorum, so the exact solve must find them
+    blocks = original_blocks(INTEGERS, "d") + encode(INTEGERS, 4, "d")
+    for index in (1, 2):
+        blocks[index] = corrupt(blocks[index], F(shift))
+    result = locate_corruption(RecoverySet(tuple(blocks), 4))
+    assert result.recovered == tuple(INTEGERS)
+    assert result.suspects == (1, 2)
+
+
+def test_locate_with_a_denominator_that_p_divides():
+    # such a value has no residue mod p, so only the exact solve can run
+    values = [F(1, _P), F(2), F(-3, 7)]
+    blocks = original_blocks(values, "d") + encode(values, 4, "d")
+    for index in (0, 4):
+        blocks[index] = corrupt(blocks[index], F(5, 2))
+    result = locate_corruption(RecoverySet(tuple(blocks), 3))
+    assert result.recovered == tuple(values)
+    assert result.suspects == (0, 4)
+
+
+def test_locate_beyond_the_radius_invisible_mod_p():
+    # three shifts by p in n = k + 4 blocks: no polynomial reaches the quorum
+    # exactly, whatever the residues say
+    blocks = original_blocks(INTEGERS, "d") + encode(INTEGERS, 4, "d")
+    for index in (0, 1, 2):
+        blocks[index] = corrupt(blocks[index], F(_P))
+    with pytest.raises(AmbiguityError):
+        locate_corruption(RecoverySet(tuple(blocks), 4))
 
 
 # --- integer kernels against the oracles -----------------------------------

@@ -301,6 +301,31 @@ def test_module_entry_point_runs_in_subprocess():
     assert result.stdout == "block index=3 role=parity value=8/1\n"
 
 
+_DIGEST_LOADING = """
+import sys
+from lagpar.cli import main
+
+primary, secondary = sys.argv[1:]
+values = ["--values", "2,3,5", "--m", "1", "--id", "d2"]
+loaded = []
+for argv in (["encode", *values], ["--primary", primary, "--secondary", secondary, "store", *values]):
+    assert main(["--machine", *argv]) == 0
+    loaded.append("hashlib" in sys.modules)
+print(*loaded, file=sys.stderr)
+"""
+
+
+def test_hashlib_loads_at_the_first_digest_not_at_import(tmp_path):
+    result = subprocess.run(
+        [sys.executable, "-c", _DIGEST_LOADING, str(tmp_path / "p"), str(tmp_path / "s")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == "False True\n"
+
+
 # --- one parser per process: each sequence below runs in this one process ---
 
 ENCODE = ["encode", "--values", "2,3,5", "--m", "1", "--id", "d2"]

@@ -49,7 +49,13 @@ from lagpar import (
     verify,
 )
 from lagpar.cli import main
-from lagpar.storage import CREATED_FORMAT, _checked_block, _parse_manifest, _valid_created
+from lagpar.storage import (
+    CREATED_FORMAT,
+    MANIFEST_NAME,
+    _checked_block,
+    _parse_manifest,
+    _valid_created,
+)
 from conftest import file_events, random_values, rewrite_manifest
 
 F = Fraction
@@ -177,6 +183,44 @@ def test_failed_write_leaves_no_temp_file(store_pair, monkeypatch):
         store_carbon(*store_pair)
     monkeypatch.undo()
     assert [list(store.dataset_dir("carbon").iterdir()) for store in store_pair] == [[], []]
+
+
+
+def _planted_temp_name(store, name):
+    return store.dataset_dir("carbon") / f".tmp-{os.getpid()}-{name}"
+
+
+def test_store_never_writes_through_a_planted_temp_link(store_pair, tmp_path):
+    primary, secondary = store_pair
+    outside = tmp_path / "outside"
+    outside.write_text("keep me\n")
+    primary.dataset_dir("carbon").mkdir(parents=True)
+    link = _planted_temp_name(primary, "block_0.plyd")
+    link.symlink_to(outside)
+    store_carbon(primary, secondary)
+    assert outside.read_text() == "keep me\n"
+    assert not link.is_symlink()
+    assert recover_dataset("carbon", primary, secondary).values == tuple(CARBON)
+
+
+def test_store_replaces_a_stale_temp_file(store_pair):
+    primary, secondary = store_pair
+    secondary.dataset_dir("carbon").mkdir(parents=True)
+    stale = _planted_temp_name(secondary, MANIFEST_NAME)
+    stale.write_text("left by a crashed writer, longer than any manifest\n" * 20)
+    store_carbon(primary, secondary)
+    assert not stale.exists()
+    assert health_check(secondary) == StoreStatus(True, ("carbon",), ())
+    assert secondary.manifest_path("carbon").read_bytes() == primary.manifest_path(
+        "carbon"
+    ).read_bytes()
+
+
+def test_temp_name_that_cannot_be_cleared_is_unwritable(store_pair):
+    primary, secondary = store_pair
+    (_planted_temp_name(primary, "block_0.plyd") / "sub").mkdir(parents=True)
+    with pytest.raises(StoreUnwritableError):
+        store_carbon(primary, secondary)
 
 
 _TWO_DIGITS = st.one_of(st.integers(0, 99), st.sampled_from([0, 1, 12, 13, 24, 29, 30, 31, 60, 61]))
@@ -757,6 +801,46 @@ def test_conflicting_manifest_replicas(store_pair, capsys):
     flags = ["--primary", str(primary.root), "--secondary", str(secondary.root)]
     assert main(["--machine", *flags, "recover", "--id", "demo"]) == 3
     assert capsys.readouterr().out == ""
+
+
+
+def test_swapped_dataset_directories_read_as_missing(store_pair):
+    # a careless mv: each directory's manifest is sealed but names the other dataset
+    primary, secondary = store_pair
+    store_dataset(DEMO, 1, "a", primary, secondary, created_at=TS)
+    store_dataset((F(7), F(11), F(13)), 1, "b", primary, secondary, created_at=TS)
+    for store in store_pair:
+        a, b = store.dataset_dir("a"), store.dataset_dir("b")
+        a.rename(store.root / "swap")
+        b.rename(a)
+        (store.root / "swap").rename(b)
+    for dataset_id in ("a", "b"):
+        with pytest.raises(ManifestMissingError):
+            recover_dataset(dataset_id, primary, secondary)
+    for store in store_pair:
+        manifests = (store.manifest_path("a"), store.manifest_path("b"))
+        assert health_check(store) == StoreStatus(True, ("a", "b"), manifests)
+
+
+# one sealed manifest per shape guard of _parse_manifest, each failing that guard alone
+CRAFTED_MANIFESTS = {
+    "dataset-id": dict(dataset_id="other"),
+    "k-below-1": dict(k=0, m=4),  # the line count still matches 0 + 4 digests
+    "line-count": dict(m=2),
+    "created-tag": dict(edit=lambda body: body.replace("\ncreated=", "\ncreatet=")),
+    "created-instant": dict(created_at="2026-02-30T00:00:00Z"),
+}
+
+
+@pytest.mark.parametrize("crafted", sorted(CRAFTED_MANIFESTS))
+def test_crafted_manifest_replica_is_unreadable(store_pair, crafted):
+    primary, secondary = store_pair
+    store_dataset(DEMO, 1, "demo", primary, secondary, created_at=TS)
+    path = primary.manifest_path("demo")
+    rewrite_manifest(path, **CRAFTED_MANIFESTS[crafted])
+    assert _parse_manifest(path.read_bytes(), "demo") is None
+    assert recover_dataset("demo", primary, secondary).values == DEMO
+    assert health_check(primary).corrupt_files == (path,)
 
 
 @pytest.mark.parametrize("damaged", ["primary", "secondary"])
